@@ -72,11 +72,12 @@ EXIT_INTERRUPTED = 3
 def _add_runtime_args(p) -> None:
     """The preemption-tolerance flags shared by the sweep commands."""
     p.add_argument("--checkpoint", metavar="DIR", default=None,
-                   help="journal completed cells to DIR (checkpoint/v1) "
-                        "so the sweep can be resumed after a kill")
+                   help="store completed cells in DIR (checkpoint/v2: a "
+                        "local store/v1 plus a fingerprint manifest) so "
+                        "the sweep can be resumed after a kill")
     p.add_argument("--resume", metavar="DIR", default=None,
-                   help="resume from DIR: skip journaled cells, keep "
-                        "journaling new ones (merged results are "
+                   help="resume from DIR: restore its stored cells, keep "
+                        "storing new ones (merged results are "
                         "bit-identical to an uninterrupted run)")
     p.add_argument("--cell-timeout", type=float, default=None,
                    metavar="SECS",
@@ -107,7 +108,7 @@ def _runtime_kwargs(args) -> dict:
         if checkpoint and checkpoint != args.resume:
             raise SystemExit(
                 "--checkpoint and --resume point at different directories; "
-                "--resume already implies journaling into its directory"
+                "--resume already implies checkpointing into its directory"
             )
         checkpoint = args.resume
         resume = True
@@ -360,7 +361,7 @@ def _reliability_empirical(args) -> int:
         )
         print(f"wrote {args.out}")
     if interrupted:
-        print("INTERRUPTED: completed batches are journaled"
+        print("INTERRUPTED: completed batches are checkpointed"
               + (f"; resume with --resume {args.resume or args.checkpoint}"
                  if (args.resume or args.checkpoint) else ""))
         return EXIT_INTERRUPTED
@@ -1075,7 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-cell progress lines")
     p.add_argument("--checkpoint", metavar="DIR", default=None,
-                   help="journal both legs' cells under DIR so the "
+                   help="checkpoint both legs' cells under DIR so the "
                         "measured overhead includes checkpointing")
     p.add_argument("--store", metavar="DIR", default=None,
                    help="directory for the cold-store leg (default: a "

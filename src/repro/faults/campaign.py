@@ -357,8 +357,8 @@ def run_campaign(config: CampaignConfig = None, jobs: int = 1,
     are aggregated in deterministic sweep order either way.
 
     The resilience knobs thread straight into the engine:
-    ``checkpoint`` journals completed runs (``checkpoint/v1``) so
-    ``resume=True`` skips them after a preemption; ``cell_timeout``
+    ``checkpoint`` stores completed runs (``checkpoint/v2``) so
+    ``resume=True`` restores them after a preemption; ``cell_timeout``
     arms the hung-worker watchdog; ``max_failures`` trips the typed
     circuit breaker.  A drained (SIGINT/SIGTERM) campaign returns a
     *partial* report marked ``interrupted`` with salvage counts

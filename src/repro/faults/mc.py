@@ -865,8 +865,8 @@ class McBatchSpec:
     """One content-addressed unit of campaign work.
 
     The spec fully determines its :class:`McBatchStat` (counter RNG +
-    deterministic reductions), so the PR 5 journal can replay it
-    bit-identically on resume.
+    deterministic reductions), so a resumed campaign restores it from
+    the checkpoint bit-identically.
     """
 
     config: FaultSimConfig
@@ -1114,7 +1114,7 @@ def run_mc_campaign(
 
     Work proceeds in *waves*: one ``batch_trials``-trial batch per fault
     count ``k`` per wave, fanned through the PR 5
-    :class:`~repro.sim.sweep.SweepEngine` (content-addressed journal per
+    :class:`~repro.sim.sweep.SweepEngine` (a ``checkpoint/v2`` store per
     wave under ``checkpoint``, SIGTERM drain salvages completed
     batches).  After each wave the streaming estimate is refreshed and a
     trajectory point recorded; the campaign stops when the ``trials``

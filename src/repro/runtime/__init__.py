@@ -2,7 +2,7 @@
 
 Resilience primitives shared by every long-running harness in the
 repo: crash-safe artifact writing (:mod:`repro.runtime.atomic`),
-checkpoint/resume journals (:mod:`repro.runtime.checkpoint`), worker
+checkpoint/resume (:mod:`repro.runtime.checkpoint`), worker
 supervision — failure taxonomy, retry policy with decorrelated jitter,
 graceful signal draining (:mod:`repro.runtime.supervision`) — and the
 multi-host fleet substrate: a content-addressed shared result store
@@ -20,9 +20,7 @@ from repro.runtime.atomic import (
     set_failpoint,
 )
 from repro.runtime.checkpoint import (
-    JOURNAL_NAME,
     SCHEMA_VERSION as CHECKPOINT_SCHEMA,
-    CheckpointJournal,
     cell_key,
     sweep_fingerprint,
 )
@@ -56,12 +54,10 @@ from repro.runtime.supervision import (
 __all__ = [
     "AttemptRecord",
     "CHECKPOINT_SCHEMA",
-    "CheckpointJournal",
     "CheckpointMismatchError",
     "DEFAULT_LEASE_TTL",
     "FAILURE_CLASSES",
     "FatalCellError",
-    "JOURNAL_NAME",
     "LEASE_SCHEMA",
     "Lease",
     "QUEUE_SCHEMA",

@@ -1,7 +1,7 @@
 """Crash-safe artifact writing: tmp file + fsync + atomic rename.
 
-Every JSON report, benchmark payload, CSV figure, and checkpoint
-journal the toolkit emits goes through this module, so a power cut (or
+Every JSON report, benchmark payload, CSV figure, and checkpoint or
+store entry the toolkit emits goes through this module, so a power cut (or
 an OOM kill, or an operator Ctrl-C) mid-write can never leave a torn
 half-file behind: readers observe either the complete old contents or
 the complete new contents, nothing in between.
@@ -37,9 +37,9 @@ class SimulatedCrashError(RuntimeError):
     """Raised by test failpoints standing in for a power cut / kill -9.
 
     Production code never raises this; harness tests inject it at
-    chosen points (mid-write, between journal appends) and then assert
-    that every artifact on disk still parses and that a resumed run
-    converges to the uninterrupted result.
+    chosen points (mid-write, before a checkpoint entry's rename) and
+    then assert that every artifact on disk still parses and that a
+    resumed run converges to the uninterrupted result.
     """
 
 

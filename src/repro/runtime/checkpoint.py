@@ -1,51 +1,52 @@
-"""``checkpoint/v1``: a crash-safe journal of completed sweep cells.
+"""``checkpoint/v2``: a sweep's completed cells as a local result store.
 
-A long sweep appends one JSONL record per *successfully completed*
-cell to ``<dir>/journal.jsonl``.  Each record is keyed by a
-deterministic content-addressed digest of the cell description (plus
-the runner's identity), so ``--resume <dir>``:
+A checkpoint directory is a strict local ``store/v1`` (see
+:mod:`repro.runtime.store`) plus one small manifest naming the sweep
+it belongs to::
 
-* skips every cell whose key is already journaled (restoring its exact
+    <dir>/checkpoint.json                  {"schema": "checkpoint/v2",
+                                            "fingerprint": "<sha256>",
+                                            "total_cells": N}
+    <dir>/objects/<key[:2]>/<key>.json     one store/v1 entry per cell
+
+Every *successfully completed* cell is published as a store entry
+under its content-addressed key (:func:`cell_key`), so ``--resume``:
+
+* serves every cell whose entry is present (restoring its exact
   :class:`~repro.sim.sweep.CellOutcome`, result object included), and
 * re-runs everything else — failed cells are deliberately *not*
-  journaled, so a resume retries them.
+  published, so a resume retries them.
 
-Because a cell's result is a pure function of its description, the
-merged (resumed + fresh) results are bit-identical to an uninterrupted
-run.  The journal is append-only and fsync'd per record; a crash can
-at worst leave a torn final line, which :meth:`CheckpointJournal.load`
-discards (and truncates away before appending resumes), so the journal
-itself is crash-safe without any atomic-rename machinery.
+Because a cell's result is a pure function of its key, the merged
+(resumed + fresh) results are bit-identical to an uninterrupted run.
+Entries are written with the atomic tmp+fsync+rename recipe, so a
+crash leaves whole entries or none; a corrupt entry is quarantined and
+its cell recomputed.  Unlike a shared ``--store``, a checkpoint never
+degrades: an I/O error raises, because a checkpoint that silently
+stops recording would defeat the resume it exists for.
 
-Record grammar (one JSON object per line)::
-
-    {"kind": "header", "schema": "checkpoint/v1",
-     "fingerprint": "<sha256 of runner + sorted cell keys>",
-     "total_cells": N}
-    {"kind": "cell", "key": "<sha256>", "index": i, "label": "...",
-     "ok": true, "attempts": n, "wall_seconds": w,
-     "failure_class": "", "result_b64": "<base64 pickle>"}
-
-``result_b64`` carries the pickled result object so restoration is
-exact for any picklable result type (dataclass, dict, ...); the
-scalar fields beside it keep the journal greppable and are what the
-schema doc (VERIFY_SCHEMA.md) pins.
+The manifest's fingerprint is checked on resume; a mismatch raises
+:class:`CheckpointMismatchError` instead of merging two experiments.
+A ``checkpoint/v1`` directory (a ``journal.jsonl`` journal, no
+manifest) is refused with the same error and a note on how to start
+over.
 """
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import hashlib
 import json
 import os
-import pickle
 
-from repro.runtime.atomic import fsync_directory
+from repro.runtime.atomic import atomic_write_json
+from repro.runtime.store import ResultStore
 from repro.runtime.supervision import CheckpointMismatchError
 
-SCHEMA_VERSION = "checkpoint/v1"
-JOURNAL_NAME = "journal.jsonl"
+SCHEMA_VERSION = "checkpoint/v2"
+MANIFEST_NAME = "checkpoint.json"
+#: The retired ``checkpoint/v1`` journal, recognised only to refuse it.
+V1_JOURNAL_NAME = "journal.jsonl"
 
 
 def _canonical(obj):
@@ -106,151 +107,78 @@ def sweep_fingerprint(keys) -> str:
     return digest.hexdigest()
 
 
-class CheckpointJournal:
-    """Append-only, fsync'd journal of completed cell outcomes.
+def load_manifest(path, schema: str, fingerprint: str = None, *,
+                  error=CheckpointMismatchError,
+                  holder: str = "checkpoint holds sweep",
+                  action: str = "merge"):
+    """The JSON manifest at ``path``, or ``None`` when there is none.
 
-    Parameters
-    ----------
-    directory:
-        Checkpoint directory (created if missing); the journal lives at
-        ``<directory>/journal.jsonl``.
-    fingerprint:
-        The sweep fingerprint the journal must belong to.  On resume a
-        mismatch raises :class:`CheckpointMismatchError` instead of
-        silently merging two different experiments.
-    total_cells:
-        Advisory cell count recorded in the header.
-    resume:
-        ``True`` loads any existing journal (tolerating a torn tail)
-        and appends to it; ``False`` starts a fresh journal.
-    fail_after_appends:
-        Test-only failpoint: after this many successful appends the
-        next append writes *half* a record and raises
-        :class:`~repro.runtime.atomic.SimulatedCrashError`, simulating
-        a power cut mid-append.
+    The one "manifest matches or refuse" check behind both the
+    ``checkpoint/v2`` manifest and the ``queue/v1`` campaign manifest:
+    an unreadable file, a foreign schema, or (given ``fingerprint``) a
+    different sweep raises ``error`` rather than letting two
+    experiments merge.
+    """
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        return None
+    except ValueError as exc:
+        raise error(f"{path}: unreadable manifest ({exc})")
+    if manifest.get("schema") != schema:
+        raise error(f"{path}: schema {manifest.get('schema')!r} != {schema}")
+    if fingerprint is not None and manifest.get("fingerprint") != fingerprint:
+        raise error(
+            f"{path}: {holder} "
+            f"{str(manifest.get('fingerprint', '?'))[:12]}…, caller built "
+            f"{fingerprint[:12]}… (cell grid, seed, or runner changed); "
+            f"refusing to {action}"
+        )
+    return manifest
+
+
+class CheckpointStore(ResultStore):
+    """A strict local :class:`~repro.runtime.store.ResultStore`.
+
+    Same entries, same verification and quarantine, but no degraded
+    mode: every I/O error propagates.  It keeps a private registry, so
+    checkpoint hits show up only as resumed cells, never in the
+    ``runtime.store.*`` counters of the shared store.
     """
 
-    def __init__(self, directory, *, fingerprint: str, total_cells: int = 0,
-                 resume: bool = False, fail_after_appends: int = None):
-        self.directory = os.fspath(directory)
-        self.path = os.path.join(self.directory, JOURNAL_NAME)
-        self.fingerprint = fingerprint
-        self.total_cells = total_cells
-        self._fail_after = fail_after_appends
-        self._appends = 0
-        self._fh = None
-        self.completed: dict = {}    # key -> restored outcome
-        os.makedirs(self.directory, exist_ok=True)
-        if resume and os.path.exists(self.path):
-            self._load_existing()
-            self._fh = open(self.path, "a")
-        else:
-            self._fh = open(self.path, "w")
-            self._append_line({
-                "kind": "header",
-                "schema": SCHEMA_VERSION,
-                "fingerprint": self.fingerprint,
-                "total_cells": self.total_cells,
-            })
+    def _degrade(self, reason: str) -> None:
+        # Every caller is an ``except OSError`` block: re-raise it.
+        raise
 
-    # -- loading -------------------------------------------------------
 
-    def _load_existing(self) -> None:
-        """Replay the journal; discard (and truncate) a torn tail."""
-        good_end = 0
-        header = None
-        with open(self.path, "rb") as fh:
-            for raw in fh:
-                if not raw.endswith(b"\n"):
-                    break   # torn tail: crash mid-append
-                try:
-                    record = json.loads(raw)
-                except ValueError:
-                    break   # torn line that still got its newline
-                if header is None:
-                    if record.get("kind") != "header":
-                        raise CheckpointMismatchError(
-                            f"{self.path}: first record is not a header"
-                        )
-                    if record.get("schema") != SCHEMA_VERSION:
-                        raise CheckpointMismatchError(
-                            f"{self.path}: schema "
-                            f"{record.get('schema')!r} != {SCHEMA_VERSION}"
-                        )
-                    if record.get("fingerprint") != self.fingerprint:
-                        raise CheckpointMismatchError(
-                            f"{self.path}: journal belongs to a different "
-                            "sweep (cell grid, seed, or runner changed); "
-                            "refusing to merge"
-                        )
-                    header = record
-                elif record.get("kind") == "cell" and record.get("ok"):
-                    self.completed[record["key"]] = record
-                good_end += len(raw)
-        if header is None:
+def open_checkpoint(directory, fingerprint: str, total_cells: int, *,
+                    resume: bool = False) -> CheckpointStore:
+    """The checkpoint of one sweep in ``directory``.
+
+    ``resume=True`` requires an existing manifest to carry
+    ``fingerprint``; a missing or empty directory starts fresh.  A
+    non-resume open overwrites the manifest (the engine then reads no
+    entry, so every cell runs again).
+    """
+    directory = os.fspath(directory)
+    path = os.path.join(directory, MANIFEST_NAME)
+    manifest = None
+    if resume:
+        manifest = load_manifest(path, SCHEMA_VERSION, fingerprint)
+        if (manifest is None and os.path.exists(
+                os.path.join(directory, V1_JOURNAL_NAME))):
             raise CheckpointMismatchError(
-                f"{self.path}: no readable header record"
+                f"{directory}: holds a checkpoint/v1 journal "
+                f"({V1_JOURNAL_NAME}), which this version no longer "
+                "reads; rerun with --checkpoint on a fresh directory "
+                "(or without --resume) to recompute its cells"
             )
-        end = os.path.getsize(self.path)
-        if good_end != end:
-            # Drop the torn tail so the next append starts on a clean
-            # line boundary instead of concatenating onto garbage.
-            with open(self.path, "r+b") as fh:
-                fh.truncate(good_end)
-
-    # -- appending -----------------------------------------------------
-
-    def _append_line(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
-        if self._fail_after is not None and self._appends >= self._fail_after:
-            from repro.runtime.atomic import SimulatedCrashError
-
-            # Simulate a power cut mid-append: half a record, no fsync.
-            self._fh.write(line[: max(1, len(line) // 2)])
-            self._fh.flush()
-            raise SimulatedCrashError(
-                f"injected crash during journal append #{self._appends + 1}"
-            )
-        self._fh.write(line)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._appends += 1
-
-    def record(self, key: str, outcome) -> None:
-        """Journal one successfully completed cell outcome."""
-        self._append_line({
-            "kind": "cell",
-            "key": key,
-            "index": outcome.index,
-            "label": outcome.label,
-            "ok": bool(outcome.ok),
-            "attempts": outcome.attempts,
-            "wall_seconds": outcome.wall_seconds,
-            "failure_class": getattr(outcome, "failure_class", ""),
-            "result_b64": base64.b64encode(
-                pickle.dumps(outcome.result)
-            ).decode("ascii"),
+    store = CheckpointStore(directory)
+    if manifest is None:
+        atomic_write_json(path, {
+            "schema": SCHEMA_VERSION,
+            "fingerprint": fingerprint,
+            "total_cells": total_cells,
         })
-
-    @staticmethod
-    def restore_result(record: dict):
-        """The exact result object a journaled record carried."""
-        return pickle.loads(base64.b64decode(record["result_b64"]))
-
-    def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            except (OSError, ValueError):
-                pass
-            self._fh.close()
-            self._fh = None
-            fsync_directory(self.directory)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
+    return store

@@ -51,6 +51,7 @@ import uuid
 from dataclasses import dataclass, field
 
 from repro.runtime.atomic import atomic_write_json, fsync_directory
+from repro.runtime.checkpoint import load_manifest
 from repro.runtime.supervision import CheckpointMismatchError
 
 QUEUE_SCHEMA = "queue/v1"
@@ -68,7 +69,7 @@ class QueueMismatchError(CheckpointMismatchError):
     """The queue directory holds a *different* campaign.
 
     Joining it would interleave cells from two experiments; hard error,
-    exactly like resuming against a foreign checkpoint journal."""
+    exactly like resuming against a foreign checkpoint."""
 
 
 def register_lease_instruments(registry) -> dict:
@@ -217,15 +218,8 @@ class WorkQueue:
         rename makes the last write whole.  A *different* fingerprint
         raises :class:`QueueMismatchError`.
         """
-        existing = self.read_manifest()
+        existing = self.read_manifest(fingerprint)
         if existing is not None:
-            if existing.get("fingerprint") != fingerprint:
-                raise QueueMismatchError(
-                    f"{self.manifest_path}: queue holds campaign "
-                    f"{existing.get('fingerprint', '?')[:12]}…, caller "
-                    f"built {fingerprint[:12]}… (cell grid, seed, or "
-                    "runner changed); refusing to join"
-                )
             return existing
         manifest = {
             "schema": QUEUE_SCHEMA,
@@ -240,24 +234,12 @@ class WorkQueue:
         atomic_write_json(self.manifest_path, manifest)
         return manifest
 
-    def read_manifest(self):
-        """The raw campaign manifest, or ``None`` if unpublished."""
-        try:
-            with open(self.manifest_path) as fh:
-                manifest = json.load(fh)
-        except FileNotFoundError:
-            return None
-        except ValueError as exc:
-            raise QueueMismatchError(
-                f"{self.manifest_path}: unreadable campaign manifest "
-                f"({exc})"
-            )
-        if manifest.get("schema") != QUEUE_SCHEMA:
-            raise QueueMismatchError(
-                f"{self.manifest_path}: schema "
-                f"{manifest.get('schema')!r} != {QUEUE_SCHEMA}"
-            )
-        return manifest
+    def read_manifest(self, fingerprint: str = None):
+        """The raw campaign manifest, or ``None`` if unpublished; given
+        ``fingerprint``, a different campaign raises."""
+        return load_manifest(self.manifest_path, QUEUE_SCHEMA, fingerprint,
+                             error=QueueMismatchError,
+                             holder="queue holds campaign", action="join")
 
     def load_campaign(self) -> dict:
         """Manifest with ``cells`` unpickled and ``runner`` resolved —

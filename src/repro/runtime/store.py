@@ -1,12 +1,13 @@
-"""``store/v1``: a content-addressed shared result store for fleets.
+"""``store/v1``: a content-addressed result store.
 
-The checkpoint journal (``checkpoint/v1``) makes one *process* on one
-host resumable.  The store generalizes that to N hosts sharing one
-directory (NFS, a bind mount, plain local disk): every completed cell
-is published as one small JSON entry keyed by the same content-
-addressed digest the journal uses (:func:`repro.runtime.cell_key` —
-sha256 of the full cell description plus the runner identity), so any
-worker anywhere can satisfy any cell it has already been computed for.
+The one result record of the runtime.  A sweep's checkpoint
+(``checkpoint/v2``) is a strict local store; a shared ``--store`` lets
+N hosts sharing one directory (NFS, a bind mount, plain local disk)
+reuse each other's cells: every completed cell is published as one
+small JSON entry keyed by its content-addressed digest
+(:func:`repro.runtime.cell_key` — sha256 of the full cell description
+plus the runner identity), so any worker anywhere can satisfy any cell
+it has already been computed for.
 Because a cell's result is a pure function of its key, duplicate
 execution is harmless — at-least-once execution by the work queue
 becomes *exactly-once-effective* here: the second writer publishes a
@@ -35,7 +36,9 @@ is swallowed into the ``runtime.store.errors`` counter and the
 ``runtime.store.degraded`` gauge — a read error is a miss (compute
 locally), a write error is a dropped publish (the result still lands
 in the caller's own outcome list).  An unreachable store directory at
-construction disables the store outright with a single warning.
+construction disables the store outright with a single warning.  A
+checkpoint (:class:`repro.runtime.checkpoint.CheckpointStore`) raises
+instead.
 """
 
 from __future__ import annotations
@@ -225,11 +228,6 @@ class ResultStore:
             # Read-only store: we cannot move it aside, but we still
             # refuse to serve it (the caller recomputes regardless).
             self._degrade(f"quarantine failed: {exc}")
-
-    @staticmethod
-    def restore_result(record: dict):
-        """The exact result object a store entry carries."""
-        return pickle.loads(base64.b64decode(record["payload_b64"]))
 
     # -- write side ----------------------------------------------------
 

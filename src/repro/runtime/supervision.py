@@ -66,7 +66,8 @@ class TooManyFailuresError(SweepError):
 
 
 class CheckpointMismatchError(SweepError):
-    """``--resume`` pointed at a journal for a *different* sweep.
+    """``--resume`` pointed at a checkpoint for a *different* sweep (or
+    at a retired ``checkpoint/v1`` journal).
 
     Resuming against a mismatched cell grid would silently merge
     results from two experiments, so this is a hard error."""
@@ -202,10 +203,10 @@ class SignalDrain:
     """Graceful SIGINT/SIGTERM handling for a long-running sweep.
 
     First signal: set ``requested`` — the engine stops launching new
-    cells, drains the ones in flight, flushes the journal, and emits a
-    partial report marked ``interrupted``.  Second signal: hard stop
-    (``KeyboardInterrupt`` out of the main loop; ``finally`` blocks
-    still run, so the journal is closed and workers are reaped).
+    cells, drains the ones in flight (each is checkpointed as it lands),
+    and emits a partial report marked ``interrupted``.  Second signal:
+    hard stop (``KeyboardInterrupt`` out of the main loop; ``finally``
+    blocks still run, so workers are reaped).
 
     Handlers are only installed from the main thread (Python restricts
     ``signal.signal`` to it) and always restored on exit, so nesting a

@@ -14,10 +14,11 @@ bit-identical results.  On top of that, the engine is built on
 :mod:`repro.runtime` to survive the failure modes of long campaigns:
 
 * **checkpoint/resume** — with ``checkpoint=<dir>`` every completed
-  cell is journaled (``checkpoint/v1``, fsync'd JSONL) under a
-  content-addressed key; ``resume=True`` skips journaled cells and
-  restores their exact outcomes, so an interrupted sweep resumed later
-  merges to results bit-identical to an uninterrupted run.
+  cell is published to a local content-addressed result store
+  (``checkpoint/v2``: a ``store/v1`` plus a fingerprint manifest);
+  ``resume=True`` serves the stored cells with their exact outcomes,
+  so an interrupted sweep resumed later merges to results
+  bit-identical to an uninterrupted run.
 * **worker supervision** — a watchdog tracks when each in-flight cell
   actually started running (the per-worker heartbeat); a cell over its
   ``timeout`` grace gets its worker killed and replaced.  Failures are
@@ -25,11 +26,17 @@ bit-identical results.  On top of that, the engine is built on
   ``fatal``) and retried per class with exponential backoff +
   decorrelated jitter.
 * **graceful shutdown** — the first SIGINT/SIGTERM drains in-flight
-  cells, flushes the journal, and returns partial outcomes (unfinished
-  cells marked ``interrupted``); a second signal hard-stops.
+  cells and returns partial outcomes (unfinished cells marked
+  ``interrupted``; every finished one is already checkpointed); a
+  second signal hard-stops.
 * **circuit breaker** — ``max_failures=N`` raises a typed
   :class:`~repro.runtime.TooManyFailuresError` after N terminal cell
   failures instead of grinding through a doomed matrix.
+
+Serial (``jobs=1``) and fleet (``queue=``) sweeps share one in-process
+run loop; ``jobs > 1`` runs under a process-pool supervisor, the only
+path that can preempt a hung cell.  Both share the same restore,
+success and failure steps.
 
 ``run_bench`` runs the pinned benchmark sweep (5 workloads x 3 schemes)
 serially, in parallel, and once more with a cold content-addressed
@@ -40,6 +47,7 @@ atomic writer) so the repo accumulates a perf trajectory.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 import warnings
@@ -57,7 +65,6 @@ import numpy as np
 
 from repro.runtime import (
     AttemptRecord,
-    CheckpointJournal,
     DEFAULT_LEASE_TTL,
     ResultStore,
     RetryPolicy,
@@ -70,6 +77,7 @@ from repro.runtime import (
     register_store_instruments,
     sweep_fingerprint,
 )
+from repro.runtime.checkpoint import open_checkpoint
 from repro.runtime.supervision import CRASHED, TIMEOUT, CellState
 from repro.schemes import PAPER_SCHEMES
 from repro.sim.config import SystemConfig
@@ -123,7 +131,7 @@ class CellOutcome:
     out-of-order completion — each submission increments it exactly
     once); ``attempt_history`` records every failed attempt with its
     failure class and backoff; ``resumed`` marks outcomes restored
-    from a checkpoint journal instead of executed this run; ``reused``
+    from the checkpoint instead of executed this run; ``reused``
     marks outcomes served from the shared content-addressed result
     store (possibly computed by another host).
     """
@@ -150,12 +158,13 @@ class SweepProgress:
     elapsed_seconds: float
     #: Seconds left at the mean observed fresh-cell rate, or ``None``
     #: when no fresh cell has completed yet (every done cell was
-    #: restored from a checkpoint) and work remains — unknown, not 0.
+    #: resumed, store-served or adopted from a poison record) and work
+    #: remains — unknown, not 0.
     eta_seconds: float
     label: str
     ok: bool
-    #: True when this cell was restored from the checkpoint journal
-    #: rather than executed (resumed cells complete "instantly" and are
+    #: True when this cell was restored from the checkpoint rather
+    #: than executed (resumed cells complete "instantly" and are
     #: excluded from the ETA rate estimate).
     resumed: bool = False
     #: True when this cell was served from the shared result store
@@ -218,12 +227,13 @@ class SweepEngine:
         Optional callable receiving a :class:`SweepProgress` after each
         cell completes (ETA from mean observed fresh-cell latency).
     checkpoint:
-        Checkpoint directory (str/path), or a factory
-        ``(fingerprint, total_cells) -> CheckpointJournal`` for tests.
-        Completed cells are journaled crash-safely as they finish.
+        Checkpoint directory (str/path): a strict local result store
+        (``checkpoint/v2``) every completed cell is published to as it
+        finishes.  A write error raises.
     resume:
-        With ``checkpoint``, load the existing journal and skip every
-        already-completed cell (restoring its exact outcome).
+        With ``checkpoint``, serve every cell the checkpoint already
+        holds (restoring its exact outcome).  Without it the
+        checkpoint is never read.
     max_failures:
         Circuit breaker: raise :class:`TooManyFailuresError` after this
         many terminal cell failures.
@@ -299,7 +309,7 @@ class SweepEngine:
             help="worker pools killed and replaced (hung or crashed)")
         self._m_resumed = ensure(
             "counter", "runtime.cells_resumed",
-            help="cells restored from the checkpoint journal")
+            help="cells restored from the checkpoint")
         self._m_reused = ensure(
             "counter", "runtime.cells_reused",
             help="cells served from the shared result store")
@@ -324,6 +334,9 @@ class SweepEngine:
         self.failures: list = []
         self.resumed_count = 0
         self.reused_count = 0
+        self._fresh_count = 0
+        self._keys = None
+        self._checkpoint = None
         self._store = None
         self._queue = None
 
@@ -332,7 +345,7 @@ class SweepEngine:
     def run(self) -> list:
         """Execute every cell; outcomes in cell order (a failing cell
         degrades to ``CellOutcome.ok == False`` instead of raising —
-        only the ``max_failures`` breaker and checkpoint/journal errors
+        only the ``max_failures`` breaker and checkpoint errors
         raise)."""
         if not self.cells:
             return []
@@ -341,41 +354,33 @@ class SweepEngine:
         self.failures = []
         self.resumed_count = 0
         self.reused_count = 0
-        self._ensure_keys()
-        journal = self._open_journal()
+        self._fresh_count = 0
+        self._keys = None
+        if (self.checkpoint is not None or self.store_spec is not None
+                or self.queue_spec is not None):
+            self._keys = [cell_key(cell, self.runner)
+                          for cell in self.cells]
+        self._checkpoint = self._open_checkpoint()
         self._queue = self._open_queue()
         self._store = self._open_store()
         outcomes = [None] * len(self.cells)
         drain = SignalDrain()
-        try:
-            with drain:
-                self._restore_resumed(journal, outcomes)
-                if self._queue is not None:
-                    self._run_queue(outcomes, journal, drain)
-                else:
-                    if self._store is not None:
-                        self._restore_reused(outcomes)
-                    if self.jobs == 1:
-                        self._run_serial(outcomes, journal, drain)
-                    else:
-                        self._run_parallel(outcomes, journal, drain)
-        finally:
-            if journal is not None:
-                journal.close()
+        with drain:
+            if self.jobs == 1 or self._queue is not None:
+                self._run_loop(outcomes, drain)
+            else:
+                self._run_parallel(outcomes, drain)
         self.interrupted = drain.requested and any(
             o is None for o in outcomes
         )
         self.signal_name = drain.signal_name
+        error = (f"interrupted by {drain.signal_name}"
+                 if drain.signal_name else "interrupted")
         for index, outcome in enumerate(outcomes):
             if outcome is None:
                 outcomes[index] = CellOutcome(
-                    index=index,
-                    label=self._label(index),
-                    ok=False,
-                    error=(f"interrupted by {drain.signal_name}"
-                           if drain.signal_name else "interrupted"),
-                    attempts=0,
-                    failure_class="interrupted",
+                    index=index, label=self._label(index), ok=False,
+                    error=error, attempts=0, failure_class="interrupted",
                 )
         return outcomes
 
@@ -385,26 +390,14 @@ class SweepEngine:
         cell = self.cells[index]
         return getattr(cell, "label", str(cell))
 
-    def _ensure_keys(self) -> None:
-        """Content-address every cell when any keyed feature is armed
-        (checkpoint journal, result store, work queue)."""
-        if (self.checkpoint is not None or self.store_spec is not None
-                or self.queue_spec is not None):
-            self._keys = [cell_key(cell, self.runner)
-                          for cell in self.cells]
-
-    def _open_journal(self):
+    def _open_checkpoint(self):
         if self.checkpoint is None:
             if self.resume:
                 raise ValueError("resume=True requires checkpoint=")
             return None
-        fingerprint = sweep_fingerprint(self._keys)
-        if callable(self.checkpoint) and not isinstance(
-                self.checkpoint, (str, bytes)):
-            return self.checkpoint(fingerprint, len(self.cells))
-        return CheckpointJournal(
-            self.checkpoint, fingerprint=fingerprint,
-            total_cells=len(self.cells), resume=self.resume,
+        return open_checkpoint(
+            self.checkpoint, sweep_fingerprint(self._keys),
+            len(self.cells), resume=self.resume,
         )
 
     def _open_queue(self):
@@ -432,141 +425,109 @@ class SweepEngine:
             return spec
         return ResultStore(spec, registry=self.registry)
 
-    def _restore_resumed(self, journal, outcomes) -> None:
-        if journal is None or not journal.completed:
-            return
-        started = time.perf_counter()
-        for index in range(len(self.cells)):
-            record = journal.completed.get(self._keys[index])
-            if record is None:
-                continue
-            outcomes[index] = CellOutcome(
-                index=index,
-                label=record["label"],
-                ok=True,
-                result=journal.restore_result(record),
-                attempts=record["attempts"],
-                wall_seconds=record["wall_seconds"],
-                failure_class=record.get("failure_class", ""),
-                resumed=True,
-            )
-            self.resumed_count += 1
-            self._m_resumed.n += 1
-            self._report(outcomes, started, outcomes[index])
-
-    def _restore_reused(self, outcomes) -> None:
-        """Pre-pass: serve every cell already in the shared store."""
-        started = time.perf_counter()
-        for index in range(len(self.cells)):
-            if outcomes[index] is None:
-                self._restore_from_store(outcomes, started, index)
-
-    def _restore_from_store(self, outcomes, started: float,
-                            index: int) -> bool:
-        """Serve one cell from the store; ``False`` on a (valid) miss.
+    def _restore(self, outcomes, started: float, index: int) -> bool:
+        """Serve one cell from the checkpoint (on resume) or the shared
+        store; ``False`` when neither holds it.
 
         A corrupt entry was already quarantined by the store layer and
         reads as a miss, so the cell is recomputed — never served."""
-        record = self._store.get(self._keys[index])
+        if not self.resume and self._store is None:
+            return False
+        key = self._keys[index]
+        record = self._checkpoint.get(key) if self.resume else None
+        resumed = record is not None
+        if record is None and self._store is not None:
+            record = self._store.get(key)
         if record is None:
             return False
-        outcomes[index] = CellOutcome(
-            index=index,
-            label=record.get("label", self._label(index)),
-            ok=True,
-            result=record["result"],
+        if resumed:
+            self.resumed_count += 1
+            self._m_resumed.n += 1
+        else:
+            self.reused_count += 1
+            self._m_reused.n += 1
+        self._land(outcomes, started, CellOutcome(
+            index=index, label=record.get("label", self._label(index)),
+            ok=True, result=record["result"],
             attempts=record.get("attempts", 1),
             wall_seconds=record.get("wall_seconds", 0.0),
-            reused=True,
-        )
-        self.reused_count += 1
-        self._m_reused.n += 1
-        self._report(outcomes, started, outcomes[index])
+            resumed=resumed, reused=not resumed,
+        ))
         return True
 
-    def _adopt_poisoned(self, outcomes, started: float, index: int,
-                        record: dict) -> None:
+    def _adopt_poisoned(self, outcomes, started: float, index: int) -> bool:
         """Surface another worker's quarantined terminal failure as this
         run's outcome for the cell (identical classified failure, no
-        local retry burn)."""
-        outcome = CellOutcome(
-            index=index,
-            label=record.get("label", self._label(index)),
-            ok=False,
-            error=record.get("error", "poisoned by another worker"),
+        local retry burn); ``False`` when the cell is not poisoned."""
+        if self._queue is None:
+            return False
+        record = self._queue.poisoned(self._keys[index])
+        if record is None:
+            return False
+        self._land(outcomes, started, CellOutcome(
+            index=index, label=record.get("label", self._label(index)),
+            ok=False, error=record.get("error", "poisoned by another worker"),
             attempts=record.get("attempts", 0),
             failure_class=record.get("failure_class", "fatal"),
             attempt_history=record.get("attempt_history", []),
+        ))
+        return True
+
+    def _finish(self, outcomes, started: float, state, *,
+                poison: bool = False, **fields) -> None:
+        """Land the outcome of a cell executed this run: a success is
+        checkpointed and published to the store; a failure whose retry
+        budget is exhausted (``poison=True``, not a local drain) is
+        published to the queue so the rest of the fleet skips the cell
+        instead of re-discovering it."""
+        outcome = CellOutcome(
+            index=state.index, label=self._label(state.index),
+            attempts=state.attempts,
+            attempt_history=[r.to_dict() for r in state.history], **fields,
         )
-        outcomes[index] = outcome
-        self.failures.append(outcome)
-        self._m_failures[outcome.failure_class] += 1
+        key = self._keys[state.index] if self._keys is not None else None
+        self._fresh_count += 1
+        if outcome.ok:
+            self._m_completed.n += 1
+            if self._checkpoint is not None:
+                self._checkpoint.put(key, outcome)
+            if self._store is not None:
+                self._store.put(key, outcome)
+        elif poison and self._queue is not None:
+            self._queue.poison(key, outcome)
+        self._land(outcomes, started, outcome)
+
+    def _land(self, outcomes, started: float, outcome) -> None:
+        """Record a cell's final outcome, report progress, and trip the
+        circuit breaker."""
+        outcomes[outcome.index] = outcome
+        if not outcome.ok:
+            self.failures.append(outcome)
+            self._m_failures[outcome.failure_class] += 1
         self._report(outcomes, started, outcome)
-        if (self.max_failures is not None
+        if (not outcome.ok and self.max_failures is not None
                 and len(self.failures) >= self.max_failures):
             raise TooManyFailuresError(self.max_failures, self.failures)
-
-    def _publish_success(self, journal, index: int, outcome) -> None:
-        if journal is not None:
-            journal.record(self._keys[index], outcome)
-        if self._store is not None and not outcome.reused:
-            self._store.put(self._keys[index], outcome)
 
     def _report(self, outcomes, started: float, outcome) -> None:
         if self.progress is None:
             return
         done = sum(1 for o in outcomes if o is not None)
-        # ETA extrapolates from *fresh* completions only: journaled
-        # (resumed) and store-served (reused) cells complete in
-        # microseconds and would otherwise collapse the rate estimate
-        # into an absurd ETA on a warm store.
-        fresh = done - self.resumed_count - self.reused_count
-        elapsed = time.perf_counter() - started
         remaining = len(self.cells) - done
-        if fresh > 0:
-            eta = (elapsed / fresh) * remaining
-        elif remaining == 0:
-            eta = 0.0
+        elapsed = time.perf_counter() - started
+        # ETA extrapolates from cells executed this run only: resumed,
+        # store-served and poison-adopted cells complete in microseconds
+        # and would collapse the rate into an absurd ETA.  Before the
+        # first executed cell there is no rate: unknown (None), not 0.
+        if self._fresh_count:
+            eta = elapsed / self._fresh_count * remaining
         else:
-            # No fresh completions yet (e.g. every done cell was
-            # restored from the checkpoint): there is no observed rate,
-            # so the ETA is unknown — not zero.
-            eta = None
+            eta = None if remaining else 0.0
         self.progress(SweepProgress(
-            done=done,
-            total=len(self.cells),
-            elapsed_seconds=elapsed,
-            eta_seconds=eta,
-            label=outcome.label,
-            ok=outcome.ok,
-            resumed=outcome.resumed,
-            reused=outcome.reused,
+            done=done, total=len(self.cells), elapsed_seconds=elapsed,
+            eta_seconds=eta, label=outcome.label, ok=outcome.ok,
+            resumed=outcome.resumed, reused=outcome.reused,
         ))
-
-    def _finalize_failure(self, outcomes, journal, started, state,
-                          failure_class: str, error: str, *,
-                          poison: bool = False) -> None:
-        outcome = CellOutcome(
-            index=state.index,
-            label=self._label(state.index),
-            ok=False,
-            error=error,
-            attempts=state.attempts,
-            failure_class=failure_class,
-            attempt_history=[r.to_dict() for r in state.history],
-        )
-        outcomes[state.index] = outcome
-        self.failures.append(outcome)
-        self._m_failures[failure_class] += 1
-        if poison and self._queue is not None:
-            # Retry budget truly exhausted (not a local drain): publish
-            # the classified failure so the rest of the fleet skips the
-            # cell instead of re-discovering it.
-            self._queue.poison(self._keys[state.index], outcome)
-        self._report(outcomes, started, outcome)
-        if (self.max_failures is not None
-                and len(self.failures) >= self.max_failures):
-            raise TooManyFailuresError(self.max_failures, self.failures)
 
     def _grant_retry(self, state, failure_class: str, error: str) -> float:
         """Record the failed attempt; return the backoff delay, or a
@@ -580,25 +541,73 @@ class SweepEngine:
         state.history.append(record)
         if strikes >= self.policy.max_attempts(failure_class):
             return -1.0
-        key = (self._keys[state.index] if hasattr(self, "_keys")
+        key = (self._keys[state.index] if self._keys is not None
                else f"cell-{state.index}")
         record.delay_s = self.policy.delay(key, state.attempts)
         self._m_retries.n += 1
         return record.delay_s
 
-    # -- serial --------------------------------------------------------
+    # -- in-process run loop -------------------------------------------
 
-    def _run_serial(self, outcomes, journal, drain) -> None:
+    def _run_loop(self, outcomes, drain) -> None:
+        """Serial and fleet sweeps: for each cell, checkpoint hit (on
+        resume) -> shared-store hit -> adopt a poison record -> claim
+        -> run with the retry policy -> publish.
+
+        Without a queue every claim succeeds, so one pass finishes the
+        sweep.  With one, cells leased by other workers are skipped
+        and the loop rescans until every cell is done: a cell leased
+        by a worker that died simply expires, and *some* surviving
+        worker's next pass reclaims it.  With a fully degraded
+        (unreachable) store the loop still terminates — every claim
+        failure or store miss is answered by local compute on whoever
+        holds the lease, and this worker's own outcomes never depend
+        on reading the store back.
+        """
         started = time.perf_counter()
-        for index in range(len(self.cells)):
-            if outcomes[index] is not None:   # resumed or store-served
-                continue
-            if drain.requested:
+        while not drain.requested:
+            progressed = False
+            remaining = [index for index, done in enumerate(outcomes)
+                         if done is None]
+            if not remaining:
                 return
-            self._run_cell_serial(outcomes, journal, drain, started, index)
+            for index in remaining:
+                if drain.requested:
+                    return
+                if (self._restore(outcomes, started, index)
+                        or self._adopt_poisoned(outcomes, started, index)):
+                    progressed = True
+                    continue
+                claim = self._claim(index)
+                if claim is None:
+                    continue   # validly held by another live worker
+                with claim:
+                    self._run_cell(outcomes, drain, started, index)
+                progressed = progressed or outcomes[index] is not None
+            if not progressed:
+                # Every remaining cell is leased by someone else: wait
+                # for the fleet (a completed cell appears in the store;
+                # a dead worker's lease expires and gets reclaimed).
+                time.sleep(max(0.05, min(1.0, self._queue.ttl / 6.0)))
 
-    def _run_cell_serial(self, outcomes, journal, drain,
-                         started: float, index: int) -> None:
+    def _claim(self, index: int):
+        """A context holding this worker's claim on the cell, or
+        ``None`` when another live worker holds it."""
+        if self._queue is None:
+            return contextlib.nullcontext()
+        lease = self._queue.try_claim(self._keys[index])
+        return None if lease is None else self._leased(lease)
+
+    @contextlib.contextmanager
+    def _leased(self, lease):
+        try:
+            with self._queue.heartbeat(lease):
+                yield
+        finally:
+            self._queue.release(lease)
+
+    def _run_cell(self, outcomes, drain, started: float,
+                  index: int) -> None:
         """Execute one cell in-process with the full retry policy."""
         state = CellState(index=index)
         while True:
@@ -611,84 +620,26 @@ class SweepEngine:
                 error = f"{type(exc).__name__}: {exc}"
                 delay = self._grant_retry(state, failure_class, error)
                 if delay < 0 or drain.requested:
-                    self._finalize_failure(outcomes, journal, started,
-                                           state, failure_class, error,
-                                           poison=delay < 0)
+                    self._finish(outcomes, started, state, ok=False,
+                                 error=error, failure_class=failure_class,
+                                 poison=delay < 0)
                     return
                 if delay:
                     time.sleep(delay)
                 continue
-            outcome = CellOutcome(
-                index=index, label=self._label(index), ok=True,
-                result=result, attempts=state.attempts,
-                wall_seconds=time.perf_counter() - start,
-                attempt_history=[r.to_dict() for r in state.history],
-            )
-            outcomes[index] = outcome
-            self._m_completed.n += 1
-            self._publish_success(journal, index, outcome)
-            self._report(outcomes, started, outcome)
+            self._finish(outcomes, started, state, ok=True, result=result,
+                         wall_seconds=time.perf_counter() - start)
             return
-
-    # -- queue (fleet) -------------------------------------------------
-
-    def _run_queue(self, outcomes, journal, drain) -> None:
-        """Fleet mode: repeatedly scan the cell list, serving finished
-        cells from the store, adopting poisoned ones, and claiming the
-        rest via leases.
-
-        The scan-until-drained structure is what makes a partially dead
-        fleet converge: a cell leased by a worker that died simply
-        expires, and *some* surviving worker's next pass reclaims it.
-        With a fully degraded (unreachable) store the loop still
-        terminates — every claim failure or store miss is answered by
-        local compute on whoever holds the lease, and this worker's own
-        outcomes never depend on reading the store back.
-        """
-        started = time.perf_counter()
-        queue = self._queue
-        poll = max(0.05, min(1.0, queue.ttl / 6.0))
-        while not drain.requested:
-            progressed = False
-            remaining = [index for index, done in enumerate(outcomes)
-                         if done is None]
-            if not remaining:
-                return
-            for index in remaining:
-                if drain.requested:
-                    return
-                key = self._keys[index]
-                if (self._store is not None
-                        and self._restore_from_store(outcomes, started,
-                                                     index)):
-                    progressed = True
-                    continue
-                record = queue.poisoned(key)
-                if record is not None:
-                    self._adopt_poisoned(outcomes, started, index, record)
-                    progressed = True
-                    continue
-                lease = queue.try_claim(key)
-                if lease is None:
-                    continue   # validly held by another live worker
-                try:
-                    with queue.heartbeat(lease):
-                        self._run_cell_serial(outcomes, journal, drain,
-                                              started, index)
-                finally:
-                    queue.release(lease)
-                if outcomes[index] is not None:
-                    progressed = True
-            if not progressed:
-                # Every remaining cell is leased by someone else: wait
-                # for the fleet (a completed cell appears in the store;
-                # a dead worker's lease expires and gets reclaimed).
-                time.sleep(poll)
 
     # -- parallel ------------------------------------------------------
 
-    def _run_parallel(self, outcomes, journal, drain) -> None:
+    def _run_parallel(self, outcomes, drain) -> None:
+        """Process-pool supervisor: the only path that can preempt a
+        hung cell (``timeout``).  Checkpoint and store hits are served
+        in a pre-pass before any cell starts."""
         started = time.perf_counter()
+        for index in range(len(self.cells)):
+            self._restore(outcomes, started, index)
         states = {
             index: CellState(index=index)
             for index in range(len(self.cells))
@@ -734,8 +685,8 @@ class SweepEngine:
             state = states[index]
             delay = self._grant_retry(state, failure_class, error)
             if delay < 0 or drain.requested:
-                self._finalize_failure(outcomes, journal, started, state,
-                                       failure_class, error)
+                self._finish(outcomes, started, state, ok=False,
+                             error=error, failure_class=failure_class)
             else:
                 requeue(index, delay, now)
 
@@ -797,17 +748,8 @@ class SweepEngine:
                             f"{type(exc).__name__}: {exc}", now,
                         )
                         continue
-                    state = states[index]
-                    outcome = CellOutcome(
-                        index=index, label=self._label(index), ok=True,
-                        result=result, attempts=state.attempts,
-                        wall_seconds=wall,
-                        attempt_history=[r.to_dict() for r in state.history],
-                    )
-                    outcomes[index] = outcome
-                    self._m_completed.n += 1
-                    self._publish_success(journal, index, outcome)
-                    self._report(outcomes, started, outcome)
+                    self._finish(outcomes, started, states[index], ok=True,
+                                 result=result, wall_seconds=wall)
                 if pool_broken:
                     # Surviving futures of the broken pool will also
                     # raise BrokenExecutor; the loop above handles them
@@ -988,8 +930,8 @@ def run_bench(refs: int = 20_000, jobs: int = 2, seed: int = 2021,
     cell, total wall-clock for both runs, the parallel speedup, a
     bit-equality verdict between the serial and parallel results, and a
     ``runtime`` block quantifying the resilience layer's overhead
-    (engine wall-clock minus in-cell wall-clock — journal fsyncs and
-    supervision live there).  ``checkpoint_dir`` journals both legs
+    (engine wall-clock minus in-cell wall-clock — checkpoint fsyncs and
+    supervision live there).  ``checkpoint_dir`` checkpoints both legs
     into separate subdirectories so the measured overhead includes
     checkpointing.
 
@@ -1120,7 +1062,7 @@ def run_bench(refs: int = 20_000, jobs: int = 2, seed: int = 2021,
             "serial_cell_wall_s": round(serial_cell_wall, 4),
             "overhead_s": round(overhead, 4),
             # The serial-leg budget the resilience layer must fit in
-            # (<2%): engine loop + journal fsyncs + supervision.
+            # (<2%): engine loop + checkpoint fsyncs + supervision.
             "overhead_fraction": (
                 round(overhead / serial_wall, 5) if serial_wall else None
             ),

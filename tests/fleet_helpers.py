@@ -39,6 +39,13 @@ def tracked_square(cell):
     return {"value": value, "square": value * value}
 
 
+def sleep_square(cell):
+    """``("sleep", value, seconds)``: square after a fixed sleep."""
+    _, value, seconds = cell
+    time.sleep(seconds)
+    return {"value": value, "square": value * value}
+
+
 def fail_negative(cell):
     """``("failneg", value, log_dir)``: raises for negative values.
 

@@ -37,7 +37,7 @@ from repro.runtime import (
     cell_key,
     sweep_fingerprint,
 )
-from repro.sim import SweepEngine
+from repro.sim import CellOutcome, SweepEngine
 
 from tests import fleet_helpers
 
@@ -229,6 +229,31 @@ class TestPoison:
         snap = second.registry.snapshot()
         assert snap["runtime.lease.poisoned"] == 0   # adopted, not re-found
         assert snap["runtime.lease.claims"] == 0
+
+
+    def test_adopted_poison_leaves_eta_unknown(self, tmp_path):
+        """An adopted poison record completes instantly, like a resumed
+        or reused cell: it is no basis for a rate, so while only it has
+        landed the ETA is unknown, not near zero."""
+        cells = [("sleep", value, 0.3) for value in range(3)]
+        queue_dir = tmp_path / "queue"
+        _publish(queue_dir, cells, fleet_helpers.sleep_square)
+        WorkQueue(queue_dir).poison(
+            cell_key(cells[0], fleet_helpers.sleep_square),
+            CellOutcome(index=0, label="sleep0", ok=False,
+                        error="ValueError: doomed", attempts=2,
+                        failure_class="retryable"),
+        )
+        seen = []
+        outcomes = SweepEngine(cells, runner=fleet_helpers.sleep_square,
+                               queue=queue_dir, progress=seen.append).run()
+        assert outcomes[0].failure_class == "retryable"
+        assert [o.ok for o in outcomes] == [False, True, True]
+        adopted, *fresh = seen
+        assert not adopted.ok
+        assert adopted.eta_seconds is None    # two real cells still to run
+        assert fresh[0].eta_seconds > 0.2     # one 0.3 s cell left
+        assert fresh[-1].eta_seconds == 0
 
 
 class TestQueueIdentity:

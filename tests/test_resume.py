@@ -3,6 +3,8 @@ checkpoint/resume determinism (including oracle-verified cells),
 graceful signal draining, hung-worker watchdog, crashed-worker
 recovery, and the --max-failures circuit breaker."""
 
+import contextlib
+import itertools
 import json
 import os
 import signal
@@ -13,12 +15,15 @@ import pytest
 
 from repro.faults import CampaignConfig, run_campaign
 from repro.runtime import (
-    CheckpointJournal,
     CheckpointMismatchError,
     SimulatedCrashError,
     TooManyFailuresError,
+    cell_key,
+    set_failpoint,
 )
 from repro.sim import SimCell, SweepEngine, SystemConfig, sweep_report
+
+from tests import fleet_helpers
 
 GCC = ("gcc", (), {"footprint_bytes": 1 << 20, "num_refs": 800})
 
@@ -74,15 +79,23 @@ def _fail_once(cell):
     return value * 3
 
 
-def _crashing_journal(directory, fail_after):
-    """Engine checkpoint factory that dies mid-append after N appends
-    (the header append counts)."""
-    def factory(fingerprint, total_cells):
-        return CheckpointJournal(
-            directory, fingerprint=fingerprint, total_cells=total_cells,
-            resume=True, fail_after_appends=fail_after,
-        )
-    return factory
+@contextlib.contextmanager
+def crash_after_publishes(count):
+    """Expect a power cut: let ``count`` atomic publishes land (the
+    checkpoint manifest counts), then kill the next one before its
+    rename."""
+    publishes = itertools.count(1)
+
+    def hook(site):
+        if site == "before_rename" and next(publishes) > count:
+            raise SimulatedCrashError(f"injected crash after {count} "
+                                      "publishes")
+    set_failpoint(hook)
+    try:
+        with pytest.raises(SimulatedCrashError):
+            yield
+    finally:
+        set_failpoint(None)
 
 
 class TestResumeDeterminism:
@@ -95,11 +108,10 @@ class TestResumeDeterminism:
         clean = clean_engine.run()
 
         ckpt = str(tmp_path / "ckpt")
-        # Crash after header + 2 journaled cells.
-        engine = SweepEngine(cells, runner=_square, jobs=1,
-                             checkpoint=_crashing_journal(ckpt, 3))
-        with pytest.raises(SimulatedCrashError):
-            engine.run()
+        # Crash after the manifest + 2 checkpointed cells.
+        with crash_after_publishes(3):
+            SweepEngine(cells, runner=_square, jobs=1,
+                        checkpoint=ckpt).run()
 
         resumed_engine = SweepEngine(cells, runner=_square, jobs=1,
                                      checkpoint=ckpt, resume=True)
@@ -122,10 +134,9 @@ class TestResumeDeterminism:
         clean = SweepEngine(cells, runner=_square, jobs=1).run()
 
         ckpt = str(tmp_path / "ckpt")
-        engine = SweepEngine(cells, runner=_square, jobs=4,
-                             checkpoint=_crashing_journal(ckpt, fail_after))
-        with pytest.raises(SimulatedCrashError):
-            engine.run()
+        with crash_after_publishes(fail_after):
+            SweepEngine(cells, runner=_square, jobs=4,
+                        checkpoint=ckpt).run()
 
         resumed_engine = SweepEngine(cells, runner=_square, jobs=4,
                                      checkpoint=ckpt, resume=True)
@@ -142,10 +153,8 @@ class TestResumeDeterminism:
         assert all(o.result.verify["ok"] for o in clean)
 
         ckpt = str(tmp_path / "ckpt")
-        engine = SweepEngine(cells, jobs=1,
-                             checkpoint=_crashing_journal(ckpt, 2))
-        with pytest.raises(SimulatedCrashError):
-            engine.run()
+        with crash_after_publishes(2):
+            SweepEngine(cells, jobs=1, checkpoint=ckpt).run()
 
         resumed = SweepEngine(cells, jobs=1, checkpoint=ckpt,
                               resume=True).run()
@@ -155,8 +164,8 @@ class TestResumeDeterminism:
         assert resumed[0].resumed and not resumed[1].resumed
 
     def test_resume_reruns_previously_failed_cells(self, tmp_path):
-        """Failures are not journaled: a resume retries them instead of
-        replaying the failure."""
+        """Failures are not checkpointed: a resume retries them instead
+        of replaying the failure."""
         flags = str(tmp_path / "flags")
         os.makedirs(flags)
         cells = [(i, flags) for i in range(3)]
@@ -189,15 +198,12 @@ class TestResumeDeterminism:
         completed the ETA must be None (unknown); once a fresh cell
         lands it becomes a number; when the sweep is done it is 0."""
         cells = [0, 1, 2, 3]
-        # Crash after the header + 2 journaled cells, leaving a
-        # partial journal to resume from.
+        # Crash after the manifest + 2 checkpointed cells, leaving a
+        # partial checkpoint to resume from.
         partial = str(tmp_path / "partial")
-        engine = SweepEngine(
-            cells, runner=_square, jobs=1,
-            checkpoint=_crashing_journal(partial, fail_after=3),
-        )
-        with pytest.raises(SimulatedCrashError):
-            engine.run()
+        with crash_after_publishes(3):
+            SweepEngine(cells, runner=_square, jobs=1,
+                        checkpoint=partial).run()
 
         seen = []
         resumed = SweepEngine(cells, runner=_square, jobs=1,
@@ -223,6 +229,82 @@ class TestResumeDeterminism:
         assert snapshot["runtime.cells_resumed"] == 2
         assert snapshot["runtime.cells_completed"] == 0
         assert snapshot["runtime.retries"] == 0
+        # Checkpoint hits are resumed cells, never shared-store traffic.
+        assert snapshot["runtime.store.hits"] == 0
+        assert snapshot["runtime.store.misses"] == 0
+        assert snapshot["runtime.store.writes"] == 0
+
+    def test_non_resume_run_executes_every_cell(self, tmp_path):
+        """Without ``resume`` an existing checkpoint is never read: every
+        cell runs again and the checkpoint is rewritten."""
+        log_dir = tmp_path / "log"
+        log_dir.mkdir()
+        cells = [("tracked", value, str(log_dir)) for value in range(3)]
+        ckpt = str(tmp_path / "ckpt")
+        SweepEngine(cells, runner=fleet_helpers.tracked_square,
+                    checkpoint=ckpt).run()
+        engine = SweepEngine(cells, runner=fleet_helpers.tracked_square,
+                             checkpoint=ckpt)
+        outcomes = engine.run()
+        assert all(o.ok and not o.resumed for o in outcomes)
+        assert engine.resumed_count == 0
+        assert engine.registry.snapshot()["runtime.cells_completed"] == 3
+        for value in range(3):
+            log = log_dir / f"exec-{value}.log"
+            assert len(log.read_text().splitlines()) == 2
+
+    def test_resume_of_v1_journal_refuses_with_migration_note(
+            self, tmp_path):
+        """A checkpoint/v1 directory (a journal, no manifest) is not
+        silently ignored: resuming it names the old format and the fix."""
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "journal.jsonl").write_text(
+            '{"kind": "header", "schema": "checkpoint/v1"}\n')
+        with pytest.raises(CheckpointMismatchError,
+                           match=r"checkpoint/v1.*fresh directory"):
+            SweepEngine([1, 2], runner=_square, jobs=1,
+                        checkpoint=str(ckpt), resume=True).run()
+
+    def test_resume_of_missing_or_empty_directory_starts_fresh(
+            self, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for ckpt in (tmp_path / "missing", empty):
+            engine = SweepEngine([1, 2], runner=_square, jobs=1,
+                                 checkpoint=str(ckpt), resume=True)
+            assert [o.result for o in engine.run()] == [1, 4]
+            assert engine.resumed_count == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unwritable_checkpoint_raises_but_store_degrades(
+            self, tmp_path, jobs):
+        """A checkpoint that cannot record would defeat the resume it
+        exists for, so its I/O errors raise; the same fault under a
+        shared ``store=`` degrades to local compute with a warning."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where a directory must go")
+        with pytest.raises(OSError):
+            SweepEngine([1, 2], runner=_square, jobs=jobs,
+                        checkpoint=str(blocker / "ckpt")).run()
+        engine = SweepEngine([1, 2], runner=_square, jobs=jobs,
+                             store=str(blocker / "store"))
+        with pytest.warns(RuntimeWarning, match="degraded"):
+            outcomes = engine.run()
+        assert [o.result for o in outcomes] == [1, 4]
+        assert engine.registry.snapshot()["runtime.store.degraded"] == 1
+
+    def test_checkpoint_write_error_mid_sweep_raises(self, tmp_path):
+        """Writes fail after the checkpoint opened: the entry publish
+        raises instead of dropping the cell from the checkpoint."""
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "objects").mkdir()
+        key = cell_key(1, _square)
+        (ckpt / "objects" / key[:2]).write_text("squatting on the shard")
+        with pytest.raises(OSError):
+            SweepEngine([1], runner=_square, jobs=1,
+                        checkpoint=str(ckpt)).run()
 
 
 class TestGracefulShutdown:

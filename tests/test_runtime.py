@@ -1,16 +1,14 @@
 """Tests for the preemption-tolerant runtime primitives
-(:mod:`repro.runtime`): crash-safe atomic writes, the checkpoint/v1
-journal, the failure taxonomy, and the retry/backoff policy."""
+(:mod:`repro.runtime`): crash-safe atomic writes, the checkpoint/v2
+store, the failure taxonomy, and the retry/backoff policy."""
 
 import json
-import os
 import signal
 
 import numpy as np
 import pytest
 
 from repro.runtime import (
-    CheckpointJournal,
     CheckpointMismatchError,
     FatalCellError,
     RetryPolicy,
@@ -24,6 +22,7 @@ from repro.runtime import (
     set_failpoint,
     sweep_fingerprint,
 )
+from repro.runtime.checkpoint import open_checkpoint
 from repro.sim import CellOutcome, SimCell, SystemConfig
 
 
@@ -133,69 +132,90 @@ def _outcome(index=0, label="cell", result=None, attempts=1):
                        attempts=attempts, wall_seconds=0.25)
 
 
-class TestCheckpointJournal:
-    def test_record_and_resume(self, tmp_path):
-        with CheckpointJournal(tmp_path, fingerprint="fp",
-                               total_cells=2) as journal:
-            journal.record("k0", _outcome(0, "a", {"x": 1}))
-            journal.record("k1", _outcome(1, "b", {"y": 2}, attempts=3))
+def _open(directory, fingerprint="fp", resume=False):
+    return open_checkpoint(directory, fingerprint, 2, resume=resume)
 
-        resumed = CheckpointJournal(tmp_path, fingerprint="fp",
-                                    total_cells=2, resume=True)
-        assert set(resumed.completed) == {"k0", "k1"}
-        assert resumed.restore_result(resumed.completed["k0"]) == {"x": 1}
-        assert resumed.completed["k1"]["attempts"] == 3
-        resumed.close()
+
+class TestCheckpoint:
+    """``checkpoint/v2``: a fingerprint manifest over a strict local
+    ``store/v1``."""
+
+    def test_record_and_resume(self, tmp_path):
+        ckpt = _open(tmp_path)
+        ckpt.put("k0", _outcome(0, "a", {"x": 1}))
+        ckpt.put("k1", _outcome(1, "b", {"y": 2}, attempts=3))
+        manifest = json.loads((tmp_path / "checkpoint.json").read_text())
+        assert manifest == {"schema": "checkpoint/v2",
+                            "fingerprint": "fp", "total_cells": 2}
+
+        resumed = _open(tmp_path, resume=True)
+        assert resumed.get("k0")["result"] == {"x": 1}
+        assert resumed.get("k1")["attempts"] == 3
+        assert resumed.get("k2") is None
 
     def test_fingerprint_mismatch_refuses_merge(self, tmp_path):
-        CheckpointJournal(tmp_path, fingerprint="sweep-A").close()
-        with pytest.raises(CheckpointMismatchError):
-            CheckpointJournal(tmp_path, fingerprint="sweep-B", resume=True)
+        _open(tmp_path, fingerprint="sweep-A")
+        with pytest.raises(CheckpointMismatchError,
+                           match="refusing to merge"):
+            _open(tmp_path, fingerprint="sweep-B", resume=True)
 
-    def test_fresh_open_truncates_previous_journal(self, tmp_path):
-        with CheckpointJournal(tmp_path, fingerprint="fp") as journal:
-            journal.record("k0", _outcome())
-        journal = CheckpointJournal(tmp_path, fingerprint="fp")  # no resume
-        assert journal.completed == {}
-        journal.close()
-        resumed = CheckpointJournal(tmp_path, fingerprint="fp", resume=True)
-        assert resumed.completed == {}
-        resumed.close()
+    def test_unreadable_manifest_refuses(self, tmp_path):
+        (tmp_path / "checkpoint.json").write_text('{"schema": "check')
+        with pytest.raises(CheckpointMismatchError, match="unreadable"):
+            _open(tmp_path, resume=True)
 
-    def test_torn_tail_is_discarded_and_truncated(self, tmp_path):
-        with CheckpointJournal(tmp_path, fingerprint="fp") as journal:
-            journal.record("k0", _outcome(0, "a", 11))
-        path = tmp_path / "journal.jsonl"
-        with open(path, "a") as fh:
-            fh.write('{"kind": "cell", "key": "k1", "ok": tr')   # power cut
+    def test_torn_entry_is_quarantined_and_recomputed(self, tmp_path):
+        """A damaged entry is quarantined and recomputed, never
+        served."""
+        ckpt = _open(tmp_path)
+        ckpt.put("k0", _outcome(0, "a", 11))
+        with open(ckpt.entry_path("k0"), "wb") as fh:
+            fh.write(b'{"schema": "store/v1", "key": "k0", "pay')
+        resumed = _open(tmp_path, resume=True)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert resumed.get("k0") is None
+        resumed.put("k0", _outcome(0, "a", 11))
+        assert resumed.get("k0")["result"] == 11
 
-        resumed = CheckpointJournal(tmp_path, fingerprint="fp", resume=True)
-        assert set(resumed.completed) == {"k0"}
-        resumed.record("k2", _outcome(2, "c", 33))
-        resumed.close()
-        # Every surviving line parses cleanly: the torn tail was
-        # physically truncated before the new append.
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [r["kind"] for r in records] == ["header", "cell", "cell"]
-        assert records[-1]["key"] == "k2"
+    def test_injected_crash_mid_publish_is_resumable(self, tmp_path):
+        ckpt = _open(tmp_path)
+        ckpt.put("k0", _outcome(0, "a", 1))
 
-    def test_injected_crash_mid_append_is_resumable(self, tmp_path):
-        journal = CheckpointJournal(tmp_path, fingerprint="fp",
-                                    fail_after_appends=2)
-        journal.record("k0", _outcome(0, "a", 1))
+        def crash(site):
+            if site == "before_rename":
+                raise SimulatedCrashError(site)
+
+        set_failpoint(crash)
         with pytest.raises(SimulatedCrashError):
-            journal.record("k1", _outcome(1, "b", 2))
-        resumed = CheckpointJournal(tmp_path, fingerprint="fp", resume=True)
-        assert set(resumed.completed) == {"k0"}
-        resumed.close()
+            ckpt.put("k1", _outcome(1, "b", 2))
+        set_failpoint(None)
+        resumed = _open(tmp_path, resume=True)
+        assert resumed.get("k0")["result"] == 1
+        assert resumed.get("k1") is None
 
     def test_pickle_restores_exact_objects(self, tmp_path):
         result = {"nested": [1.5, {"deep": (1, 2)}], "bytes": b"\x00\xff"}
-        with CheckpointJournal(tmp_path, fingerprint="fp") as journal:
-            journal.record("k", _outcome(result=result))
-        resumed = CheckpointJournal(tmp_path, fingerprint="fp", resume=True)
-        assert resumed.restore_result(resumed.completed["k"]) == result
-        resumed.close()
+        _open(tmp_path).put("k", _outcome(result=result))
+        assert _open(tmp_path, resume=True).get("k")["result"] == result
+
+    def test_entries_parse_after_kill(self, tmp_path):
+        """Acceptance slice: every file of a checkpoint that survived a
+        mid-publish crash is complete JSON (no torn artifacts)."""
+        ckpt = _open(tmp_path)
+        for i in range(3):
+            ckpt.put(f"k{i}", _outcome(i, f"c{i}", i))
+
+        def crash(site):
+            if site == "tmp_written":
+                raise SimulatedCrashError(site)
+
+        set_failpoint(crash)
+        with pytest.raises(SimulatedCrashError):
+            ckpt.put("k3", _outcome(3, "c3", 3))
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        for path in files:
+            json.loads(path.read_text())
+        assert len(files) == 4       # manifest + 3 entries, no temp file
 
 
 class TestFailureTaxonomy:
@@ -276,22 +296,3 @@ class TestSignalDrain:
         with SignalDrain(on_signal=lambda name, n: seen.append((name, n))):
             signal.raise_signal(signal.SIGTERM)
         assert seen == [("SIGTERM", 1)]
-
-
-class TestJournalFilePermanence:
-    def test_journal_lines_parse_after_kill(self, tmp_path):
-        """Acceptance slice: every line of a journal that survived a
-        mid-append crash is complete JSON (no torn artifacts)."""
-        journal = CheckpointJournal(tmp_path, fingerprint="fp",
-                                    fail_after_appends=4)  # header counts
-        for i in range(3):
-            journal.record(f"k{i}", _outcome(i, f"c{i}", i))
-        with pytest.raises(SimulatedCrashError):
-            journal.record("k3", _outcome(3, "c3", 3))
-        lines = (tmp_path / "journal.jsonl").read_text().splitlines()
-        parsed = 0
-        for line in lines[:-1]:      # all but the torn tail must parse
-            json.loads(line)
-            parsed += 1
-        assert parsed == 4           # header + 3 cells
-        assert os.path.getsize(tmp_path / "journal.jsonl") > 0

@@ -17,21 +17,13 @@ from repro.faults import (
     run_scenario_campaign,
 )
 from repro.faults.scenarios import report_to_json
-from repro.runtime import CheckpointJournal, SimulatedCrashError
+
+from tests.test_resume import crash_after_publishes
 
 KB = 1024
 
 #: Small device so the whole catalog stays test-speed.
 QUICK = dict(data_bytes=32 * KB)
-
-
-def _crashing_journal(directory, fail_after):
-    def factory(fingerprint, total_cells):
-        return CheckpointJournal(
-            directory, fingerprint=fingerprint, total_cells=total_cells,
-            resume=True, fail_after_appends=fail_after,
-        )
-    return factory
 
 
 class TestCatalog:
@@ -163,11 +155,9 @@ class TestDeterminism:
         clean = run_scenario_campaign(config, jobs=1)
 
         ckpt = str(tmp_path / "ckpt")
-        with pytest.raises(SimulatedCrashError):
-            # Crash after the header + 1 journaled cell.
-            run_scenario_campaign(
-                config, jobs=1, checkpoint=_crashing_journal(ckpt, 2)
-            )
+        # Crash after the manifest + 1 checkpointed cell.
+        with crash_after_publishes(2):
+            run_scenario_campaign(config, jobs=1, checkpoint=ckpt)
         resumed = run_scenario_campaign(
             config, jobs=1, checkpoint=ckpt, resume=True
         )

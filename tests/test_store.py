@@ -71,12 +71,6 @@ class TestRoundTrip:
         assert snap["runtime.store.misses"] == 1
         assert snap["runtime.store.corrupt"] == 0
 
-    def test_restore_result_round_trips_payload(self, store):
-        key = _key(7)
-        store.put(key, _outcome(7))
-        record = store.get(key)
-        assert ResultStore.restore_result(record) == record["result"]
-
     def test_republish_is_idempotent(self, store):
         """The at-least-once contract: a second writer publishes a
         bit-identical entry over the first."""
