@@ -8,9 +8,11 @@ a real :class:`~repro.memory.AddressMap` laid out across the DIMM, and
 applies the clone-survival rule node by node — no independence or
 uniformity assumptions at all.
 
-It is slower and cannot resolve probabilities far below 1/trials, so
-use it to validate the analytic pipeline at high FIT (see
-``tests/test_udr_mc.py``), not to regenerate Figure 11's deep tails.
+Data-range loss is counted exactly without enumerating blocks; only
+the small metadata range is enumerated.  Being rejection-sampled, it
+cannot resolve probabilities far below 1/trials, so use it to validate
+the analytic pipeline at high FIT (see ``tests/test_udr_mc.py``), not
+to regenerate Figure 11's deep tails.
 """
 
 from __future__ import annotations
@@ -21,13 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.constants import CACHELINE_BYTES
+from repro.faults import mc
 from repro.faults.faultsim import FaultSimulator
 from repro.memory import AddressMap
-
-
-#: Per-trial cap on enumerated DUE blocks.  Trials exceeding it (giant
-#: multi-bank overlaps) are truncated and counted in ``truncated``.
-ENUMERATION_CAP = 4_000_000
 
 
 def extent_block_indices(extent, geometry, rank: int) -> np.ndarray:
@@ -84,6 +82,61 @@ def extent_hits_in_range(extent, geometry, rank: int, lo: int, hi: int) -> np.nd
     return out
 
 
+def _encode_extent(extent, geometry) -> list:
+    """``(bank mask, row, group)`` regions (``-1`` = all) covering an extent."""
+    if extent.banks is None:
+        mask = (1 << geometry.banks) - 1
+    else:
+        mask = sum(1 << bank for bank in extent.banks)
+    rows = (-1,) if extent.rows is None else extent.rows
+    groups = (-1,) if extent.groups is None else extent.groups
+    return [(mask, row, group) for row in rows for group in groups]
+
+
+def _box_count(regions, banks: int, row_lo: int, row_hi: int, groups: int) -> int:
+    """Union of ``regions`` inside the box ``banks`` (a mask) x rows
+    ``[row_lo, row_hi)`` x groups ``[0, groups)``."""
+    clipped = [
+        (mask & banks, row, group)
+        for mask, row, group in regions
+        if mask & banks
+        and (row == -1 or row_lo <= row < row_hi)
+        and group < groups
+    ]
+    return mc.union_count(clipped, row_hi - row_lo, groups)
+
+
+def data_range_blocks(regions, geometry, num_data_blocks: int) -> int:
+    """Exact count of unique blocks in ``[0, num_data_blocks)`` covered
+    by DUE ``regions``, without enumerating them.
+
+    A rank's share of the range is a prefix of its bank/row/group
+    space, which splits into at most three boxes: whole banks, whole
+    rows of the next bank, then groups of the next row.
+    """
+    by_rank = {}
+    for region in regions:
+        by_rank.setdefault(region.rank, []).extend(
+            _encode_extent(region.extent, geometry)
+        )
+    bpr = geometry.blocks_per_row
+    total = 0
+    for rank, encoded in by_rank.items():
+        prefix = min(
+            num_data_blocks - rank * geometry.blocks_per_rank,
+            geometry.blocks_per_rank,
+        )
+        if prefix <= 0:
+            continue
+        banks, rest = divmod(prefix, geometry.rows * bpr)
+        rows, groups = divmod(rest, bpr)
+        total += _box_count(encoded, (1 << banks) - 1, 0, geometry.rows, bpr)
+        if rest:
+            total += _box_count(encoded, 1 << banks, 0, rows, bpr)
+            total += _box_count(encoded, 1 << banks, rows, rows + 1, groups)
+    return total
+
+
 @dataclass
 class MonteCarloUdr:
     """Outcome of a direct Monte-Carlo UDR campaign.
@@ -91,12 +144,14 @@ class MonteCarloUdr:
     ``udr_half_width`` is a delta-method 95% CI half-width combining,
     per fault count, the sampling variance of the conditional loss mean
     with the binomial variance of the rejection-sampling DUE rate.
+    ``truncated`` is always 0: data-range blocks are counted exactly,
+    never enumerated under a cap.  It stays for callers that read it.
     """
 
     udr: float
     l_error_fraction: float          # data-region DUE bytes / data bytes
     trials_with_due: int
-    truncated: int
+    truncated: int = 0
     by_region: dict = field(default_factory=dict)
     udr_half_width: float = 0.0
 
@@ -229,8 +284,9 @@ def monte_carlo_udr(
 
         E[loss] = sum_k pmf(k) * P(DUE | k) * E[loss | k, DUE]
 
-    Only DUE trials pay for block enumeration, so the estimator
-    concentrates its expensive samples exactly where loss can occur.
+    Only DUE trials pay for scoring (metadata-range enumeration and the
+    exact data-range count), so the estimator concentrates its
+    expensive samples exactly where loss can occur.
     """
     config = simulator.config
     geometry = config.geometry
@@ -242,7 +298,6 @@ def monte_carlo_udr(
     expected_data_error = 0.0
     unverifiable_var = 0.0
     trials_with_due = 0
-    truncated = 0
     by_region = {}
     for k in range(simulator._min_faults_for_due(), simulator.MAX_FAULTS + 1):
         pmf = math.exp(-mean) * mean**k / math.factorial(k)
@@ -284,29 +339,9 @@ def monte_carlo_udr(
             else:
                 meta_blocks = np.empty(0, dtype=np.int64)
 
-            # Data range: only the count matters (L_error); cap the
-            # enumeration — truncation can only bias L_error, which is
-            # also pinned analytically.
-            data_arrays = []
-            budget = ENUMERATION_CAP
-            for region in regions:
-                hits = extent_hits_in_range(
-                    region.extent, geometry, region.rank, 0, meta_lo
-                )
-                if len(hits) > budget:
-                    hits = hits[:budget]
-                    truncated += 1
-                budget -= len(hits)
-                if len(hits):
-                    data_arrays.append(hits)
-                if budget <= 0:
-                    break
-            if len(data_arrays) == 1:
-                data_hits = len(data_arrays[0])
-            elif data_arrays:
-                data_hits = len(np.unique(np.concatenate(data_arrays)))
-            else:
-                data_hits = 0
+            # Data range: only the count matters (L_error), and it is
+            # counted exactly without enumerating the blocks.
+            data_hits = data_range_blocks(regions, geometry, meta_lo)
 
             unverifiable, counts = _unverifiable_bytes(amap, meta_blocks)
             if data_hits:
@@ -338,7 +373,6 @@ def monte_carlo_udr(
         udr=expected_unverifiable / amap.data_bytes,
         l_error_fraction=expected_data_error / amap.data_bytes,
         trials_with_due=trials_with_due,
-        truncated=truncated,
         by_region=by_region,
         udr_half_width=1.96 * math.sqrt(unverifiable_var) / amap.data_bytes,
     )

@@ -466,9 +466,11 @@ def decode_trial(batch: FaultBatch, index: int, geometry) -> list:
 _ALL = np.int32(-1)
 _EMPTY = np.int32(-2)
 
-#: Above this many DUE regions in one rank, inclusion-exclusion (2^n
-#: terms) is replaced by the additive upper bound — same threshold as
-#: ``union_block_count``.
+#: Above this many DUE regions in one rank the additive upper bound
+#: replaces the exact union — same threshold as ``union_block_count``.
+#: Exact counting is cheap at any size (see :func:`union_count`); the
+#: limit survives only because the campaign pins and the ``mc-diff``
+#: corpus encode the fallback's outputs.
 UNION_EXACT_LIMIT = 14
 
 _PC_M1 = _U(0x5555555555555555)
@@ -587,33 +589,46 @@ def _region_blocks(mask: int, row: int, group: int, geometry) -> int:
     return blocks
 
 
-def _union_regions(regions, geometry) -> int:
-    """Exact inclusion-exclusion union of int-encoded regions.
+def union_count(regions, rows: int, groups: int) -> int:
+    """Exact number of blocks covered by int-encoded regions of one rank.
 
-    Mirrors ``union_block_count``'s inner loop on the (mask, row, group)
-    encoding; all-integer arithmetic, so term order cannot matter.
+    Each region is ``(bank mask, row, group)`` with ``-1`` = every row
+    (group) of a space of ``rows`` x ``groups``.  Rows split into
+    classes: each pinned row, plus one class of all unpinned rows that
+    only the every-row regions cover.  Within a row class the groups
+    split the same way, and each (row, group) cell contributes the
+    popcount of the OR of the masks covering it.  The result is the
+    inclusion-exclusion integer at O(n^2) cost instead of O(n 2^n).
     """
-    total = 0
-    n = len(regions)
-    for r in range(1, n + 1):
-        sign = 1 if r % 2 else -1
-        for combo in combinations(regions, r):
-            mask, row, group = combo[0]
-            empty = False
-            for mask2, row2, group2 in combo[1:]:
-                mask &= mask2
-                row = row2 if row == -1 else (row if row2 in (-1, row) else -2)
-                group = (
-                    group2
-                    if group == -1
-                    else (group if group2 in (-1, group) else -2)
-                )
-                if mask == 0 or row == -2 or group == -2:
-                    empty = True
-                    break
-            if not empty:
-                total += sign * _region_blocks(mask, row, group, geometry)
+    every_row = [(mask, group) for mask, row, group in regions if row == -1]
+    by_row = {}
+    for mask, row, group in regions:
+        if row != -1:
+            by_row.setdefault(row, []).append((mask, group))
+    total = _row_union(every_row, groups) * (rows - len(by_row))
+    for pinned in by_row.values():
+        total += _row_union(every_row + pinned, groups)
     return total
+
+
+def _row_union(regions, groups: int) -> int:
+    """Blocks of one row covered by ``(bank mask, group)`` regions."""
+    every_group = 0
+    by_group = {}
+    for mask, group in regions:
+        if group == -1:
+            every_group |= mask
+        else:
+            by_group[group] = by_group.get(group, 0) | mask
+    total = every_group.bit_count() * (groups - len(by_group))
+    for mask in by_group.values():
+        total += (every_group | mask).bit_count()
+    return total
+
+
+def _union_regions(regions, geometry) -> int:
+    """Exact union of one rank's int-encoded DUE regions."""
+    return union_count(regions, geometry.rows, geometry.blocks_per_row)
 
 
 def evaluate_batch(
@@ -678,7 +693,7 @@ def evaluate_batch(
                 f"evaluate_batch: rank {rank} exceeded "
                 f"{UNION_EXACT_LIMIT} overlapping DUE regions in "
                 f"{approximations} trial(s); substituted the additive "
-                "upper bound for inclusion-exclusion",
+                "upper bound for the exact union",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -133,32 +133,56 @@ _region = st.tuples(
 )
 
 
+def _encode(specs):
+    """``(mask, row, group)`` encodings and rank-0 ``DueRegion``s."""
+    encoded, regions = [], []
+    for banks, row, group in specs:
+        mask = 0
+        for bank in banks:
+            mask |= 1 << bank
+        encoded.append((mask, row, group))
+        regions.append(
+            DueRegion(
+                rank=0,
+                extent=Extent(
+                    banks=set(banks),
+                    rows=None if row == -1 else {row},
+                    groups=None if group == -1 else {group},
+                ),
+            )
+        )
+    return encoded, regions
+
+
 class TestUnionEncoding:
-    @given(specs=st.lists(_region, min_size=1, max_size=6))
+    @given(specs=st.lists(_region, min_size=1, max_size=14))
     @settings(deadline=None, max_examples=80)
     def test_int_encoding_matches_object_union(self, specs):
-        """The vector engine's (mask, row, group) inclusion-exclusion
-        must agree with ``union_block_count`` on the object model for
-        arbitrary overlapping region sets."""
-        encoded, regions = [], []
-        for banks, row, group in specs:
-            mask = 0
-            for bank in banks:
-                mask |= 1 << bank
-            encoded.append((mask, row, group))
-            regions.append(
-                DueRegion(
-                    rank=0,
-                    extent=Extent(
-                        banks=set(banks),
-                        rows=None if row == -1 else {row},
-                        groups=None if group == -1 else {group},
-                    ),
-                )
-            )
+        """The vector engine's (mask, row, group) union count must
+        agree with ``union_block_count``'s inclusion-exclusion on the
+        object model for densely overlapping sets of up to 14 regions
+        (the exact limit) in a 4-bank x 4-row x 4-group rank."""
+        encoded, regions = _encode(specs)
         assert mc._union_regions(
             encoded, _UNION_GEOMETRY
         ) == union_block_count(regions, _UNION_GEOMETRY)
+
+    @given(specs=st.lists(_region, min_size=0, max_size=40))
+    @settings(deadline=None, max_examples=80)
+    def test_union_count_matches_cell_enumeration(self, specs):
+        """``union_count`` has no region limit: past 14 regions it
+        still equals the number of distinct (bank, row, group) cells."""
+        encoded, _ = _encode(specs)
+        rows = _UNION_GEOMETRY.rows
+        groups = _UNION_GEOMETRY.blocks_per_row
+        cells = {
+            (bank, r, g)
+            for banks, row, group in specs
+            for bank in banks
+            for r in (range(rows) if row == -1 else [row])
+            for g in (range(groups) if group == -1 else [group])
+        }
+        assert mc.union_count(encoded, rows, groups) == len(cells)
 
 
 class TestResumeEqualsUninterrupted:

@@ -6,11 +6,20 @@ block addresses through a real AddressMap.  Agreement between the two
 — within Monte-Carlo noise — validates the whole Figure 11 pipeline.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis import compute_udr, scheme_depths
-from repro.analysis.udr_mc import build_dimm_map, monte_carlo_udr
+from repro.analysis.udr_mc import (
+    build_dimm_map,
+    data_range_blocks,
+    extent_hits_in_range,
+    monte_carlo_udr,
+)
 from repro.faults import FaultSimConfig, FaultSimulator
+from repro.faults.ecc import DueRegion
+from repro.faults.fault_model import Extent
+from repro.memory import DimmGeometry
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +95,76 @@ class TestMonteCarloUdr:
         # loss.  (Residual equality happens when the only sampled
         # metadata losses were sidecar-forced, which clones cannot fix.)
         assert mc_src.udr <= mc_baseline.udr
+
+
+def _enumerated_data_blocks(regions, geometry, num_data_blocks):
+    """Reference count: dedup every region's uncapped enumeration."""
+    arrays = [
+        extent_hits_in_range(
+            region.extent, geometry, region.rank, 0, num_data_blocks
+        )
+        for region in regions
+    ]
+    return len(np.unique(np.concatenate(arrays)))
+
+
+class TestDataRangeCount:
+    """The exact data-range count behind L_error equals deduplicated
+    block enumeration, with no cap on the enumeration."""
+
+    @pytest.mark.parametrize("repair", ["chipkill", "secded"])
+    def test_matches_enumeration_on_sampled_due_trials(self, repair):
+        # 1024 rows keep each rank at 1M blocks, so the reference
+        # enumeration stays cheap even for whole-rank faults.
+        geometry = DimmGeometry(rows=1024)
+        num_data_blocks = build_dimm_map(geometry).num_data_blocks
+        simulator = FaultSimulator(
+            FaultSimConfig(geometry=geometry, fit_per_device=80,
+                           repair=repair)
+        )
+        rng = np.random.default_rng(5)
+        scored = 0
+        while scored < 40:
+            faults = simulator.sample_faults(int(rng.integers(2, 9)), rng)
+            regions = simulator.ecc.uncorrectable_regions(faults, geometry)
+            if not regions:
+                continue
+            scored += 1
+            assert data_range_blocks(
+                regions, geometry, num_data_blocks
+            ) == _enumerated_data_blocks(regions, geometry, num_data_blocks)
+
+    def test_boundary_straddling_and_giant_regions(self):
+        geometry = DimmGeometry()
+        num_data_blocks = build_dimm_map(geometry).num_data_blocks
+        rank, offset = divmod(num_data_blocks, geometry.blocks_per_rank)
+        bank, rest = divmod(offset, geometry.rows * geometry.blocks_per_row)
+        row, group = divmod(rest, geometry.blocks_per_row)
+        # The default layout puts the data/metadata boundary mid-row in
+        # an interior bank of the last rank.
+        assert rank == geometry.ranks - 1
+        assert 5 <= bank < geometry.banks - 1 and group > 0
+        giant = DueRegion(
+            rank, Extent(frozenset(range(bank - 5, bank + 1)), None, None)
+        )
+        regions = [
+            giant,  # six banks, the last straddling the boundary
+            DueRegion(rank, Extent(frozenset([bank]), frozenset([row]),
+                                   None)),
+            DueRegion(rank, Extent(frozenset([bank, bank + 1]), None,
+                                   frozenset([group]))),
+            DueRegion(rank, Extent(frozenset([bank + 1]),
+                                   frozenset([row]),
+                                   frozenset([group - 1]))),
+            DueRegion(0, Extent(None, None, frozenset([3]))),
+        ]
+        # The old per-trial enumeration cap was 4,000,000 blocks.
+        assert len(extent_hits_in_range(
+            giant.extent, geometry, rank, 0, num_data_blocks
+        )) > 4_000_000
+        assert data_range_blocks(
+            regions, geometry, num_data_blocks
+        ) == _enumerated_data_blocks(regions, geometry, num_data_blocks)
 
 
 class TestMonteCarloCi:
