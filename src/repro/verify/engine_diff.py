@@ -101,7 +101,7 @@ def corpus_trace(path: str, tile: int = CORPUS_TILE):
     return refs, config
 
 
-def _normalize(payload):
+def normalize(payload):
     """Canonicalise a payload the way the fixture stores it.
 
     A JSON round-trip maps tuples to lists and non-string dict keys to
@@ -131,7 +131,7 @@ def _observe(build) -> dict:
     digest = hashlib.sha256(
         json.dumps(resident, sort_keys=True).encode()
     ).hexdigest()
-    return _normalize({
+    return normalize({
         "result": result,
         "error": error,
         "registry": system.registry.snapshot(),
@@ -280,15 +280,24 @@ def chaos_cases(refs: int = 4000) -> list:
 # fixture I/O
 
 
-def load_fixture(path: str = DEFAULT_FIXTURE) -> dict:
-    """Load and sanity-check the pinned replay fixture."""
+def load_fixture(path: str = DEFAULT_FIXTURE,
+                 schema: str = REPLAY_SCHEMA) -> dict:
+    """Load a pinned replay fixture and check its schema stamp."""
     with open(path) as fh:
         fixture = json.load(fh)
-    if fixture.get("schema") != REPLAY_SCHEMA:
+    if fixture.get("schema") != schema:
         raise ValueError(
-            f"{path}: schema {fixture.get('schema')!r} != {REPLAY_SCHEMA!r}"
+            f"{path}: schema {fixture.get('schema')!r} != {schema!r}"
         )
     return fixture
+
+
+def write_fixture(path: str, fixture: dict) -> str:
+    """Durably (re-)pin a replay fixture as sorted-key JSON."""
+    from repro.runtime.atomic import atomic_write_json
+
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return atomic_write_json(path, fixture)
 
 
 def record_fixture(cases: list, path: str = DEFAULT_FIXTURE,
@@ -299,8 +308,6 @@ def record_fixture(cases: list, path: str = DEFAULT_FIXTURE,
     under; replays refuse an explicit mismatching ``refs`` (the traces
     would legitimately differ and every case would "fail").
     """
-    from repro.runtime.atomic import atomic_write_json
-
     observations = {}
     for case in cases:
         observations[case["name"]] = _observe(case["build"])
@@ -316,8 +323,7 @@ def record_fixture(cases: list, path: str = DEFAULT_FIXTURE,
         "corpus_tile": CORPUS_TILE,
         "cases": observations,
     }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    atomic_write_json(path, fixture)
+    write_fixture(path, fixture)
     return fixture
 
 
