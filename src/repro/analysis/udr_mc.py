@@ -299,13 +299,8 @@ def monte_carlo_udr(
     unverifiable_var = 0.0
     trials_with_due = 0
     by_region = {}
-    for k in range(simulator._min_faults_for_due(), simulator.MAX_FAULTS + 1):
-        pmf = math.exp(-mean) * mean**k / math.factorial(k)
-        if k == simulator.MAX_FAULTS:
-            pmf = 1.0 - sum(
-                math.exp(-mean) * mean**j / math.factorial(j)
-                for j in range(simulator.MAX_FAULTS)
-            )
+    for k in range(mc.min_faults_for_due(config.repair), mc.MAX_FAULTS + 1):
+        pmf = mc.bucket_pmf(k, mean)
         if pmf <= 0:
             continue
         attempts = 0

@@ -19,16 +19,15 @@ when the absolute probability is 1e-9 — the regime of Figure 11.
 
 Trials are executed by :mod:`repro.faults.mc`, which samples whole
 batches as numpy arrays from a counter-based RNG and evaluates the ECC
-model vectorized.  The scalar reference engine (same RNG, the original
-object model per trial) stays available via ``run(engine="scalar")`` or
-``REPRO_MC_ENGINE=scalar``; both engines reduce each trial to the same
-integers and share one aggregation, so they are bit-identical — a claim
-``repro mc-diff`` proves on a pinned corpus.
+model vectorized; ``repro mc-diff`` replays its pinned behavior
+(``tests/fixtures/mc_replay.json``).  The object model here —
+:func:`union_block_count` over :mod:`repro.faults.ecc` regions — stays
+the independent oracle the tests hold each vectorized trial against,
+and :func:`repro.analysis.udr_mc.monte_carlo_udr` samples through it.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -119,10 +118,6 @@ class FaultSimResult:
 class FaultSimulator:
     """Conditional Monte-Carlo engine over one DIMM lifetime."""
 
-    #: Highest fault count explicitly conditioned on; the Poisson tail
-    #: above this is folded into the last bucket conservatively.
-    MAX_FAULTS = 8
-
     def __init__(self, config: FaultSimConfig):
         self.config = config
         self.ecc = make_ecc(config.repair)
@@ -140,9 +135,6 @@ class FaultSimulator:
         """Expected fault arrivals per DIMM over the simulated life."""
         return self.config.expected_faults_per_dimm()
 
-    def _poisson_pmf(self, k: int, mean: float) -> float:
-        return math.exp(-mean) * mean**k / math.factorial(k)
-
     def sample_faults(self, k: int, rng) -> list:
         """k independent fault arrivals with Hopper-distributed modes."""
         faults = []
@@ -155,50 +147,13 @@ class FaultSimulator:
             )
         return faults
 
-    def trial(self, k: int, rng):
-        """One conditioned trial.
-
-        Returns ``(unique DUE blocks, any-DUE flag, per-rank DUE block
-        counts)`` — the per-rank split feeds the cross-domain clone
-        survival moments.
-        """
-        geometry = self.config.geometry
-        faults = self.sample_faults(k, rng)
-        regions = self.ecc.uncorrectable_regions(faults, geometry)
-        if not regions:
-            return 0, False, [0] * geometry.ranks
-        per_rank = [0] * geometry.ranks
-        for rank in range(geometry.ranks):
-            rank_regions = [r for r in regions if r.rank == rank]
-            if rank_regions:
-                per_rank[rank] = union_block_count(
-                    rank_regions, geometry,
-                    on_approximation=self._note_approximation,
-                )
-        return sum(per_rank), True, per_rank
-
-    def _min_faults_for_due(self) -> int:
-        # Symbol correction over c chips needs c+1 independent chip
-        # faults to overlap; SECDED and no-ECC can fail with a single
-        # (multi-bit) fault.
-        if self.config.repair == "chipkill":
-            return 2
-        if self.config.repair == "chipkill2":
-            return 3
-        return 1
-
-    def run(self, trials_per_k: int = None, engine: str = None) -> FaultSimResult:
+    def run(self, trials_per_k: int = None) -> FaultSimResult:
         """Run the campaign; ``trials_per_k`` defaults to
-        ``config.trials / MAX_FAULTS`` conditioned trials per bucket.
-
-        ``engine`` selects the batched vector core (default) or the
-        scalar reference loop (``"scalar"``); both consume the same
-        counter-based random streams and produce bit-identical results.
+        ``config.trials / mc.MAX_FAULTS`` conditioned trials per bucket.
         """
         config = self.config
-        engine = mc.resolve_engine(engine)
         if trials_per_k is None:
-            trials_per_k = max(200, config.trials // self.MAX_FAULTS)
+            trials_per_k = max(200, config.trials // mc.MAX_FAULTS)
         self.union_approximations = 0
         mean = self.lifetime_fault_mean()
         total_blocks = config.geometry.total_blocks
@@ -208,12 +163,13 @@ class FaultSimulator:
         moments = {d: 0.0 for d in range(1, max_depth + 1)}
         cross_moments = {d: 0.0 for d in range(1, max_depth + 1)}
         by_fault_count = {}
-        for k in range(self._min_faults_for_due(), self.MAX_FAULTS + 1):
-            pmf = mc.bucket_pmf(k, mean, self.MAX_FAULTS)
+        for k in range(mc.min_faults_for_due(config.repair),
+                       mc.MAX_FAULTS + 1):
+            pmf = mc.bucket_pmf(k, mean)
             if pmf <= 0:
                 continue
             u_total, per_rank, _ = mc.batch_outputs(
-                config, k, 0, trials_per_k, engine=engine,
+                config, k, 0, trials_per_k,
                 on_approximation=self._note_approximation,
             )
             blocks_sum, due_count, moment_sums, cross_sums = (

@@ -1014,9 +1014,8 @@ def run_bench(refs: int = 20_000, jobs: int = 2, seed: int = 2021,
             "write_p95_ns": latency.get("write", {}).get("p95"),
         })
 
-    # Monte-Carlo engine A/B: time the vectorized FaultSim trial core
-    # against its scalar reference on one pinned campaign (bit-equal by
-    # construction; the mc-smoke CI leg gates on >= 10x).
+    # Monte-Carlo throughput on one pinned FaultSim campaign; the
+    # bench-smoke CI leg floors trials/s against the committed baseline.
     from repro.faults import mc_bench
 
     mc = mc_bench(seed=seed)
@@ -1026,10 +1025,9 @@ def run_bench(refs: int = 20_000, jobs: int = 2, seed: int = 2021,
     store_cell_wall = sum(o.wall_seconds for o in store_leg if o.ok)
     store_overhead = max(0.0, store_wall - store_cell_wall)
     return {
-        # v4: scalar comparison leg retired with the scalar engine
-        # (its behavior is pinned by the engine-replay fixture); adds
-        # the cold content-addressed store leg and its overhead budget.
-        "schema": "bench_perf/v4",
+        # v5: the ``mc`` block is vector-only (the scalar MC engine is
+        # retired; its behavior is pinned by the mc_replay fixture).
+        "schema": "bench_perf/v5",
         "engine": default_engine(),
         "telemetry_schema": TELEMETRY_SCHEMA,
         "refs": refs,

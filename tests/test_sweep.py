@@ -195,12 +195,20 @@ class TestBench:
         return run_bench(refs=500, jobs=2, seed=2021)
 
     def test_grid_is_pinned(self, payload):
-        assert payload["schema"] == "bench_perf/v4"
+        assert payload["schema"] == "bench_perf/v5"
         assert payload["telemetry_schema"] == "telemetry/v1"
         assert len(payload["cells"]) == 15  # 5 workloads x 3 schemes
         workloads = {c["workload"] for c in payload["cells"]}
         assert workloads == {"ctree", "hashmap", "ubench", "mcf", "gcc"}
         assert all(c["ok"] for c in payload["cells"])
+
+    def test_mc_block_is_vector_only(self, payload):
+        """bench_perf/v5 times the one MC trial path; no A/B legs."""
+        mc = payload["mc"]
+        assert mc["trials"] == mc["trials_per_k"] * 7  # chipkill: k=2..8
+        assert mc["trials_per_s"] > 0
+        assert mc["p_block_due"] > 0
+        assert not {"engines", "speedup", "identical"} & set(mc)
 
     def test_gcc_cell_is_cache_resident_and_scaled(self, payload):
         """The gcc showcase cell pins a 512 KiB footprint and 5x refs."""
