@@ -35,6 +35,7 @@ import argparse
 import numpy as np
 
 from repro.analysis import compare_schemes, figure12_table, level_inventory
+from repro.controller.strategy import INTEGRITY_MODES, update_policy_class
 from repro.core import make_controller
 from repro.faults import FaultSimConfig, FaultSimulator, mtbf_hours
 from repro.recovery import recover_image, recovery_procedure_for
@@ -604,9 +605,10 @@ def cmd_verify(args) -> int:
     crash_ok = True
     for scheme in args.schemes:
         # Schemes that pin their integrity mode (triad -> bmt, phoenix
-        # -> toc) get one campaign; unpinned schemes cover both trees.
-        pinned = resolve_scheme(scheme).integrity_mode
-        for mode in (pinned,) if pinned else ("toc", "bmt"):
+        # -> toc) get one campaign; unpinned schemes cover every tree.
+        resolved = resolve_scheme(scheme)
+        for mode in dict.fromkeys(map(resolved.effective_integrity_mode,
+                                      INTEGRITY_MODES)):
             campaign = CrashPointConfig(
                 scheme=scheme,
                 integrity_mode=mode,
@@ -725,8 +727,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_crash_test(args) -> int:
     scheme = resolve_scheme(args.scheme)
-    # A scheme that pins its integrity mode wins over --integrity.
-    integrity = scheme.integrity_mode or args.integrity
+    integrity = scheme.effective_integrity_mode(args.integrity)
     ctrl = make_controller(
         scheme,
         args.data_kb * KB,
@@ -790,11 +791,8 @@ def cmd_schemes(args) -> int:
     print(f"{'scheme':<10} {'persist policy':<16} {'recovery':<9} "
           f"{'origin':<8} {'clone depths':<16} description")
     for scheme in all_schemes():
-        policy = scheme.update_policy or "lazy"
-        if policy == "selective":
-            policy = f"selective(N={scheme.persist_levels})"
-        elif policy == "batched":
-            policy = f"batched(B={scheme.persist_batch})"
+        policy = update_policy_class(scheme.update_policy).label(
+            scheme.persist_levels, scheme.persist_batch)
         depths = scheme.depths_for(size)
         compact = ",".join(
             str(depths[level]) for level in sorted(depths)

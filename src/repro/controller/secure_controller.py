@@ -7,6 +7,13 @@ shadow tracking for crash recovery, Osiris-bounded counter staleness,
 and — when a cloning policy with depth > 1 is installed — Soteria
 metadata cloning with clone-based fault repair (Figure 9).
 
+The integrity mode and the update policy are strategy objects from
+:mod:`repro.controller.strategy`, chosen once at construction: the
+controller keeps one fetch skeleton, one clone walk and one atomic
+all-copies write, and the strategies supply what differs (parent tag,
+verify-on-fill, seal-on-persist, the write hook and tail, the repair
+fallback).
+
 The controller is *functional*: it stores real (encrypted) bytes in the
 NVM model, verifies real MACs, and survives real crash/corruption
 tests.  For timing studies ``functional_crypto=False`` skips the
@@ -16,7 +23,7 @@ what the performance figures depend on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.cache import MetadataCache
 from repro.constants import MAC_BYTES, SPLIT_COUNTER_ARITY
@@ -26,7 +33,7 @@ from repro.controller.errors import (
     QuarantinedError,
     SecureMemoryError,
 )
-from repro.controller.payloads import CounterEntry, MacBlockEntry, NodeEntry
+from repro.controller.payloads import CounterEntry, MacBlockEntry
 from repro.controller.policy import CloningPolicy
 from repro.controller.quarantine import QuarantineRegistry
 from repro.controller.shadow import (
@@ -38,11 +45,10 @@ from repro.controller.shadow import (
     ShadowRecord,
 )
 from repro.controller.stats import ControllerStats, OpCost
-from repro.counters import SplitCounterBlock, TocNode
+from repro.controller.strategy import integrity_class, update_policy_class
 from repro.crypto import CounterModeEngine, MacEngine, Prf
 from repro.memory import AddressMap, NvmDevice, WritePendingQueue, tree_level_sizes
 from repro.telemetry import Tracer
-from repro.tree import ZERO_DIGEST, BmtAuthenticator, BmtNode, TocAuthenticator
 
 ZERO_MAC = b"\x00" * MAC_BYTES
 
@@ -60,7 +66,7 @@ class TrustedState:
     """On-chip state that survives a crash (processor NVR/keys).
 
     The trust base of the whole scheme: encryption/MAC keys, the
-    integrity-tree root (a :class:`TocNode` in ToC mode, a
+    integrity-tree root (a :class:`~repro.counters.TocNode` in ToC mode, a
     :class:`~repro.tree.BmtNode` in BMT mode), and the shadow-tree root.
     """
 
@@ -93,14 +99,6 @@ class CrashImage:
     scheme: str = ""
 
 
-#: Metadata update/persist policies (Table 1 + related work):
-#: ``lazy`` persists on eviction with an Osiris stop-loss, ``eager``
-#: persists the whole branch per write, ``selective`` (Triad-NVM)
-#: persists the branch only up to ``persist_levels``, ``batched``
-#: (Phoenix) flushes all dirty metadata every ``persist_batch`` writes.
-UPDATE_POLICIES = ("lazy", "eager", "selective", "batched")
-
-
 class SecureMemoryController:
     """Baseline secure memory controller with optional Soteria cloning."""
 
@@ -127,25 +125,9 @@ class SecureMemoryController:
         registry=None,
         tracer: Tracer = None,
     ):
-        if update_policy not in UPDATE_POLICIES:
-            raise ValueError(
-                f"update_policy must be one of {UPDATE_POLICIES}, "
-                f"got {update_policy!r}"
-            )
-        if integrity_mode not in ("toc", "bmt"):
-            raise ValueError(
-                f"integrity_mode must be 'toc' or 'bmt', got {integrity_mode!r}"
-            )
-        if update_policy == "selective" and integrity_mode != "bmt":
-            raise ValueError(
-                "the 'selective' update policy requires integrity_mode='bmt' "
-                "(upper levels regenerate from persisted digests at recovery)"
-            )
-        if update_policy == "batched" and integrity_mode != "toc":
-            raise ValueError(
-                "the 'batched' update policy requires integrity_mode='toc' "
-                "(recovery reseals the counter tree from the on-chip root)"
-            )
+        policy = update_policy_class(update_policy)
+        integrity = integrity_class(integrity_mode)
+        policy.check(integrity)
         if persist_levels < 1:
             raise ValueError("persist_levels must be >= 1")
         if persist_batch < 1:
@@ -158,24 +140,16 @@ class SecureMemoryController:
         self.wpq_entries = wpq_entries
         self.osiris_limit = osiris_limit
         self.functional_crypto = functional_crypto
-        #: "lazy" (Table 1: update on eviction, Anubis tracking) or
-        #: "eager" (every write persists its whole tree branch; the
-        #: root is always fresh, no shadow tracking needed — and the
-        #: write traffic shows why nobody ships it; Section 2.5).
-        self.update_policy = update_policy
-        #: "toc" — SGX-style Tree of Counters (parallel updates, NOT
-        #: recomputable from leaves; Soteria's motivating case) or
-        #: "bmt" — Bonsai-Merkle hash tree (recomputable intermediate
-        #: nodes, cached-eager digest propagation keeps the root fresh,
-        #: recovery is Osiris trials + tree regeneration, no shadow
-        #: table).  Section 2.5 / 6.1.
-        self.integrity_mode = integrity_mode
+        #: Names of the two strategies (see :mod:`repro.controller.strategy`).
+        self.update_policy = policy.name
+        self.integrity_mode = integrity.name
         #: Bottom tree levels persisted per write ("selective" policy).
         self.persist_levels = persist_levels
         #: Data writes between whole-estate flushes ("batched" policy).
         self.persist_batch = persist_batch
         self.scheme_name = scheme_name
-        self._batch_writes = 0
+        #: Anubis tracking: only a lazy policy over a replayable tree.
+        self._shadowed = policy.tracks_shadow and integrity.replays_shadow
 
         #: Structured per-op trace hook; instrumented sites check one
         #: ``enabled`` attribute, so tracing-disabled runs pay nothing.
@@ -213,7 +187,7 @@ class SecureMemoryController:
         if trusted is None:
             prf = Prf.generate(rng)
             mac_engine = MacEngine.generate(rng)
-            root = TocNode() if integrity_mode == "toc" else BmtNode()
+            root = integrity.node_type()
             trusted = TrustedState(
                 prf=prf,
                 mac_engine=mac_engine,
@@ -224,8 +198,8 @@ class SecureMemoryController:
         self._mac = trusted.mac_engine
         self.root = trusted.root
         self._cipher = CounterModeEngine(self._prf)
-        self._auth = TocAuthenticator(self._mac)
-        self._bmt_auth = BmtAuthenticator(self._mac)
+        self.integrity = integrity(self._mac)
+        self.persist_policy = policy()
         self._shadow = ShadowManager(
             self.amap,
             nvm,
@@ -266,7 +240,7 @@ class SecureMemoryController:
         if self.tracer.enabled:
             self.tracer.emit("demand_read", block=block_index, address=address)
         self._check_quarantine(block_index, address)
-        entry = self._get_counter(self.amap.counter_index_of_data(block_index), cost)
+        entry = self._fetch(1, self.amap.counter_index_of_data(block_index), cost)
         counter = entry.block.effective_counter(
             self.amap.counter_slot_of_data(block_index)
         )
@@ -314,17 +288,14 @@ class SecureMemoryController:
         counter_index = self.amap.counter_index_of_data(block_index)
         slot = self.amap.counter_slot_of_data(block_index)
 
-        entry = self._get_counter(counter_index, cost)
+        entry = self._fetch(1, counter_index, cost)
         overflow = entry.block.increment(slot)
         self._mcache.mark_dirty(self.amap.node_addr(1, counter_index))
         try:
             if overflow is not None:
                 self._reencrypt_page(counter_index, entry, overflow, cost)
             updates = entry.bump_slot(slot)
-            if self.integrity_mode == "bmt":
-                self._propagate_bmt(counter_index, entry, cost)
-            else:
-                self._shadow_note_counter(counter_index, entry, cost)
+            self.integrity.note_write(self, counter_index, entry, cost)
 
             counter = entry.block.effective_counter(slot)
             if self.functional_crypto:
@@ -340,30 +311,7 @@ class SecureMemoryController:
             self._enqueue_write(
                 self.amap.mac_addr(block_index), mac_block.to_bytes(), cost, "mac"
             )
-
-            if self.update_policy == "eager":
-                self._persist_branch(counter_index, entry, cost)
-            elif self.update_policy == "selective":
-                # Triad-NVM: the counter and the bottom persist_levels
-                # of its branch are strictly persistent; upper levels
-                # regenerate at recovery.
-                self._persist_branch(
-                    counter_index, entry, cost, max_level=self.persist_levels
-                )
-            elif self.update_policy == "batched":
-                # Phoenix: the Osiris stop-loss still bounds counter
-                # staleness; every persist_batch writes the whole dirty
-                # metadata estate flushes (no shadow tracking at all).
-                if updates >= self.osiris_limit:
-                    self.stats.osiris_persists += 1
-                    self._persist_counter_entry(counter_index, entry, cost)
-                self._batch_writes += 1
-                if self._batch_writes >= self.persist_batch:
-                    self._batch_writes = 0
-                    self._flush_metadata(cost)
-            elif updates >= self.osiris_limit:
-                self.stats.osiris_persists += 1
-                self._persist_counter_entry(counter_index, entry, cost)
+            self.persist_policy.after_write(self, counter_index, entry, updates, cost)
         except SecureMemoryError:
             # The cached counter already took its increment; a lockstep
             # oracle must mirror that even though the write itself died.
@@ -380,34 +328,6 @@ class SecureMemoryController:
                 counter=counter, data=data,
             )
         return cost
-
-    def _persist_branch(
-        self, counter_index: int, entry: CounterEntry, cost: OpCost,
-        max_level: int = None,
-    ) -> None:
-        """Eager update: persist the counter and every ancestor it
-        dirtied, leaf to root, leaving the whole branch clean in cache
-        and current in NVM (the root is then never stale).
-
-        ``max_level`` bounds the walk (the "selective" policy): only
-        levels up to it persist; higher dirty ancestors stay cached.
-        """
-        top = self.amap.num_levels
-        if max_level is not None:
-            top = min(max_level, top)
-        self._persist_counter_entry(counter_index, entry, cost)
-        address = self.amap.node_addr(1, counter_index)
-        if self._mcache.contains(address):
-            self._mcache.mark_clean(address)
-        index = counter_index
-        for level in range(2, top + 1):
-            index //= 8
-            address = self.amap.node_addr(level, index)
-            if not self._mcache.is_dirty(address):
-                continue
-            payload = self._mcache.peek(address)
-            self._persist_node(level, index, payload.node, cost)
-            self._mcache.mark_clean(address)
 
     def flush(self) -> OpCost:
         """Clean shutdown: persist all dirty metadata and drain the WPQ.
@@ -432,11 +352,12 @@ class SecureMemoryController:
                     continue
                 region = self.amap.region_of(address)
                 if region[0] == "counter" and level == 1:
-                    self._persist_counter_entry(region[1], payload, cost)
+                    index = region[1]
                 elif region[0] == "tree" and region[1] == level:
-                    self._persist_node(level, region[2], payload.node, cost)
+                    index = region[2]
                 else:
                     continue
+                self.integrity.persist(self, level, index, payload, cost)
                 # Persisting can itself evict this line (a ToC parent
                 # bump may miss-fetch into a full set); the victim
                 # drain already persisted it, so only clean what is
@@ -484,12 +405,11 @@ class SecureMemoryController:
         self._prf = Prf.generate(rng)
         self._mac = MacEngine.generate(rng)
         self._cipher = CounterModeEngine(self._prf)
-        self._auth = TocAuthenticator(self._mac)
-        self._bmt_auth = BmtAuthenticator(self._mac)
-        self.root = TocNode() if self.integrity_mode == "toc" else BmtNode()
+        self.integrity = type(self.integrity)(self._mac)
+        self.persist_policy = type(self.persist_policy)()
+        self.root = self.integrity.node_type()
         self._mcache.flush_all()
         self._victims.clear()
-        self._batch_writes = 0
         self._shadow = ShadowManager(
             self.amap,
             self.nvm,
@@ -549,6 +469,15 @@ class SecureMemoryController:
             persist_batch=self.persist_batch,
             scheme=self.scheme_name,
         )
+
+    @classmethod
+    def from_image(cls, image: CrashImage) -> "SecureMemoryController":
+        """A cold controller over a crash image's NVM and on-chip state,
+        configured exactly as the crashed one was (scheme included).
+        Every recovery procedure starts from this."""
+        config = {field.name: getattr(image, field.name) for field in fields(image)}
+        config["scheme_name"] = config.pop("scheme")
+        return cls(config.pop("data_bytes"), functional_crypto=True, **config)
 
     # ------------------------------------------------------------------
     # degraded mode (quarantine)
@@ -652,302 +581,52 @@ class SecureMemoryController:
         cost.posted_writes += 1
         self.stats.record_write(kind)
 
-    def _enqueue_atomic(self, entries, cost: OpCost, kinds) -> None:
-        self._wpq.enqueue_atomic(entries)
-        cost.posted_writes += len(entries)
-        for kind in kinds:
-            self.stats.record_write(kind)
+    def _write_copies(self, addresses, data: bytes, cost: OpCost, kind: str) -> None:
+        """Write ``data`` to every copy of a block as one atomic WPQ
+        group; the first copy counts as ``kind``, the others as clones."""
+        self._wpq.enqueue_atomic([(address, data) for address in addresses])
+        cost.posted_writes += len(addresses)
+        self.stats.record_write(kind)
+        if len(addresses) > 1:
+            self.stats.record_write("clone", len(addresses) - 1)
 
     # ------------------------------------------------------------------
-    # metadata fetch (verify on fill)
+    # metadata fetch (verify on fill) and clone repair
     # ------------------------------------------------------------------
 
-    # ------------------------------------------------------------------
-    # BMT mode: digest propagation, fetch, repair
-    # ------------------------------------------------------------------
-
-    def _propagate_bmt(self, counter_index: int, entry: CounterEntry, cost: OpCost) -> None:
-        """Cached-eager digest propagation after an in-cache update.
-
-        Refreshes the digest path from this counter block up to the
-        on-chip root.  Only SRAM state changes (path nodes are pulled
-        through the metadata cache and dirtied); NVM copies still
-        update lazily at eviction.  This keeps two invariants: the
-        root is always fresh (Osiris-style recovery can trust it), and
-        any *evicted* block's NVM bytes always match its parent's
-        recorded digest (fetch verification stays sound).
-        """
-        child_bytes = entry.block.to_bytes() if self.functional_crypto else None
-        level, index = 1, counter_index
-        while True:
-            digest = (
-                self._bmt_auth.block_digest(level, index, child_bytes)
-                if self.functional_crypto
-                else ZERO_DIGEST
-            )
-            parent = self.amap.parent_of(level, index)
-            slot = self.amap.child_slot(level, index)
-            if parent is None:
-                self.root.set_digest(slot, digest)
-                return
-            level, index = parent
-            pnode = self._get_node(level, index, cost)
-            pnode.set_digest(slot, digest)
-            self._mcache.mark_dirty(self.amap.node_addr(level, index))
-            child_bytes = pnode.to_bytes() if self.functional_crypto else None
-
-    def _parent_digest_of(self, level: int, index: int, cost: OpCost) -> bytes:
-        parent = self.amap.parent_of(level, index)
-        slot = self.amap.child_slot(level, index)
-        if parent is None:
-            return self.root.digest(slot)
-        return self._get_node(*parent, cost).digest(slot)
-
-    def _get_node_bmt(self, level: int, index: int, cost: OpCost) -> BmtNode:
+    def _fetch(self, level: int, index: int, cost: OpCost):
+        """Fetch (and verify) a counter block (level 1) or tree node via
+        the cache: victim reclaim, then the parent's tag, the NVM read,
+        and the integrity mode's verify-and-repair before the fill."""
         address = self.amap.node_addr(level, index)
-        payload = self._mcache.get(address)
-        if payload is not None:
-            return payload.node
-        eviction = self._victims.pop(address, None)
-        if eviction is not None:
-            return self._reclaim_victim(eviction, cost).node
-        expected = self._parent_digest_of(level, index, cost)
-        raw, touched = self._nvm_read(address, cost, "tree")
-        poisoned = self._effectively_poisoned(address)
-        if not touched and not poisoned and (
-            not self.functional_crypto or expected == ZERO_DIGEST
-        ):
-            node = BmtNode()
-        else:
-            node = BmtNode.from_bytes(raw)
-            ok = not poisoned and (
-                not self.functional_crypto
-                or self._bmt_auth.verify_block(level, index, raw, expected)
-            )
-            if not ok:
-                node = self._repair_node_bmt(level, index, expected, cost)
-        self._fill_metadata(address, NodeEntry(node, level), False, cost)
-        return node
-
-    def _repair_node_bmt(self, level: int, index: int, expected: bytes, cost: OpCost) -> BmtNode:
-        """Repair a damaged BMT node: clones first, then *recompute*
-        from the children's persisted bytes — the capability ToC nodes
-        lack (Section 2.5), which is why the ToC needs Soteria."""
-        depth = self.amap.clone_depths.get(level, 1)
-        for copy in range(1, depth):
-            address = self.amap.clone_addr(level, index, copy)
-            raw, touched = self._nvm_read(address, cost, "clone")
-            if self._effectively_poisoned(address) or not touched:
-                continue
-            if self.functional_crypto and not self._bmt_auth.verify_block(
-                level, index, raw, expected
-            ):
-                continue
-            candidate = BmtNode.from_bytes(raw)
-            self._purify(level, index, raw, cost)
-            return candidate
-
-        rebuilt = BmtNode()
-        child_level = level - 1
-        child_count = self.amap.level_sizes[child_level - 1]
-        for slot in range(BmtNode.ARITY):
-            child_index = index * BmtNode.ARITY + slot
-            if child_index >= child_count:
-                break
-            child_address = self.amap.node_addr(child_level, child_index)
-            if not self.nvm.is_touched(child_address):
-                continue  # fresh child: zero digest stands
-            child_bytes = self.nvm.read_block(child_address)
-            cost.blocking_reads += 1
-            self.stats.record_read("tree" if child_level > 1 else "counter")
-            rebuilt.set_digest(
-                slot,
-                self._bmt_auth.block_digest(child_level, child_index, child_bytes),
-            )
-        if not self.functional_crypto or self._bmt_auth.verify_block(
-            level, index, rebuilt.to_bytes(), expected
-        ):
-            self.stats.bmt_recomputations += 1
-            self._purify(level, index, rebuilt.to_bytes(), cost)
-            return rebuilt
-        self._metadata_dead(
-            level, index,
-            "copies failed and recomputation did not match parent digest",
-        )
-
-    def _get_counter_bmt(self, index: int, cost: OpCost) -> CounterEntry:
-        address = self.amap.node_addr(1, index)
         payload = self._mcache.get(address)
         if payload is not None:
             return payload
         eviction = self._victims.pop(address, None)
         if eviction is not None:
             return self._reclaim_victim(eviction, cost)
-        expected = self._parent_digest_of(1, index, cost)
-        raw, touched = self._nvm_read(address, cost, "counter")
-        poisoned = self._effectively_poisoned(address)
-        if not touched and not poisoned and (
-            not self.functional_crypto or expected == ZERO_DIGEST
-        ):
-            entry = CounterEntry(SplitCounterBlock())
-        else:
-            block = SplitCounterBlock.from_bytes(raw)
-            ok = not poisoned and (
-                not self.functional_crypto
-                or self._bmt_auth.verify_block(1, index, raw, expected)
-            )
-            if not ok:
-                block = self._repair_counter_bmt(index, expected, cost)
-            entry = CounterEntry(block)
-        self._fill_metadata(address, entry, False, cost)
-        return entry
+        integrity = self.integrity
+        tag = integrity.parent_tag(self, level, index, cost)
+        raw, touched = self._nvm_read(address, cost, "counter" if level == 1 else "tree")
+        payload = integrity.load(self, level, index, address, raw, touched, tag, cost)
+        self._fill_metadata(address, payload, False, cost)
+        return payload
 
-    def _repair_counter_bmt(self, index: int, expected: bytes, cost: OpCost) -> SplitCounterBlock:
-        """Counter blocks have no children to recompute from — only
-        clones can save them, in BMT mode just as in ToC mode (the
-        paper's Section 6.1 point)."""
-        depth = self.amap.clone_depths.get(1, 1)
-        for copy in range(1, depth):
-            address = self.amap.clone_addr(1, index, copy)
-            raw, touched = self._nvm_read(address, cost, "clone")
-            if self._effectively_poisoned(address) or not touched:
-                continue
-            if self.functional_crypto and not self._bmt_auth.verify_block(
-                1, index, raw, expected
-            ):
-                continue
-            candidate = SplitCounterBlock.from_bytes(raw)
-            self._purify(1, index, raw, cost)
-            return candidate
-        self._metadata_dead(1, index, "all copies failed verification")
-
-    # ------------------------------------------------------------------
-    # ToC mode fetch chain
-    # ------------------------------------------------------------------
-
-    def _parent_counter_of(self, level: int, index: int, cost: OpCost) -> int:
-        parent = self.amap.parent_of(level, index)
-        slot = self.amap.child_slot(level, index)
-        if parent is None:
-            return self.root.counter(slot)
-        return self._get_node(*parent, cost).counter(slot)
-
-    def _bump_parent(self, level: int, index: int, cost: OpCost) -> int:
-        """Increment the parent counter for a child persist; returns the
-        new counter value.  A non-root parent becomes dirty in the cache
-        and gets a fresh shadow entry."""
-        parent = self.amap.parent_of(level, index)
-        slot = self.amap.child_slot(level, index)
-        if parent is None:
-            self.root.increment(slot)
-            return self.root.counter(slot)
-        plevel, pindex = parent
-        pnode = self._get_node(plevel, pindex, cost)
-        pnode.increment(slot)
-        self._mcache.mark_dirty(self.amap.node_addr(plevel, pindex))
-        self._shadow_note_node(plevel, pindex, pnode, cost)
-        return pnode.counter(slot)
-
-    def _get_node(self, level: int, index: int, cost: OpCost):
-        """Fetch (and verify) a tree node at level >= 2, via the cache."""
-        if self.integrity_mode == "bmt":
-            return self._get_node_bmt(level, index, cost)
-        address = self.amap.node_addr(level, index)
-        payload = self._mcache.get(address)
-        if payload is not None:
-            return payload.node
-        eviction = self._victims.pop(address, None)
-        if eviction is not None:
-            return self._reclaim_victim(eviction, cost).node
-        parent_counter = self._parent_counter_of(level, index, cost)
-        raw, touched = self._nvm_read(address, cost, "tree")
-        if not touched:
-            node = TocNode()
-        else:
-            node = TocNode.from_bytes(raw)
-            if not self._node_ok(level, index, node, parent_counter, address):
-                node = self._repair_node(level, index, parent_counter, cost)
-        self._fill_metadata(address, NodeEntry(node, level), False, cost)
-        return node
-
-    def _node_ok(self, level, index, node, parent_counter, address) -> bool:
-        if self._effectively_poisoned(address):
-            return False
-        if not self.functional_crypto:
-            return True
-        return self._auth.verify_node(level, index, node, parent_counter)
-
-    def _repair_node(self, level: int, index: int, parent_counter: int, cost: OpCost) -> TocNode:
-        """Soteria fault handling (Figure 9): try the clones, purify.
-
-        With no clones (baseline) this immediately degenerates to an
-        IntegrityError — the drop-and-lock outcome.
-        """
-        depth = self.amap.clone_depths.get(level, 1)
-        for copy in range(1, depth):
+    def _repair(self, level: int, index: int, tag, cost: OpCost):
+        """Soteria fault handling (Figure 9): the first clone that
+        verifies against ``tag`` purifies every copy; failing that, the
+        integrity mode's fallback.  With no clones (baseline) and no
+        fallback this degenerates to the drop-and-lock outcome."""
+        for copy in range(1, self.amap.clone_depths.get(level, 1)):
             address = self.amap.clone_addr(level, index, copy)
             raw, touched = self._nvm_read(address, cost, "clone")
             if self._effectively_poisoned(address):
                 continue
-            candidate = TocNode() if not touched else TocNode.from_bytes(raw)
-            if self.functional_crypto and not self._auth.verify_node(
-                level, index, candidate, parent_counter
-            ):
-                continue
-            self._purify(level, index, candidate.to_bytes(), cost)
-            return candidate
-        self._metadata_dead(level, index, "all copies failed verification")
-
-    def _repair_counter(
-        self, index: int, stored_mac: bytes, parent_counter: int, cost: OpCost
-    ):
-        """Clone-based repair of a level-1 counter block.
-
-        Every live copy of the counter is checked against every live
-        copy of its sidecar MAC — the sidecar itself may be the
-        corrupted party, in which case a counter copy only verifies
-        against a sidecar *clone*.  The first surviving pair wins; both
-        regions are purified from it.  Returns ``(block, mac)``.
-        """
-        sidecar_index = self._sidecar_index_of(index)
-        slot = self.amap.counter_mac_slot(index)
-        macs = [(stored_mac, None)]
-        for copy in range(1, self.amap.counter_mac_depth):
-            address = self.amap.counter_mac_clone_addr(sidecar_index, copy)
-            raw, _ = self._nvm_read(address, cost, "clone")
-            if self._effectively_poisoned(address):
-                continue
-            mac = raw[slot * MAC_BYTES:(slot + 1) * MAC_BYTES]
-            if mac != stored_mac:
-                macs.append((mac, raw))
-        depth = self.amap.clone_depths.get(1, 1)
-        for copy in range(depth):
-            if copy == 0:
-                address = self.amap.node_addr(1, index)
-                kind = "counter"
-            else:
-                address = self.amap.clone_addr(1, index, copy)
-                kind = "clone"
-            raw, touched = self._nvm_read(address, cost, kind)
-            if self._effectively_poisoned(address):
-                continue
-            candidate = (
-                SplitCounterBlock()
-                if not touched
-                else SplitCounterBlock.from_bytes(raw)
-            )
-            for mac_position, (mac, sidecar_bytes) in enumerate(macs):
-                if copy == 0 and mac_position == 0:
-                    continue  # the pair that already failed in _get_counter
-                if self.functional_crypto and not self._auth.verify_counter_block(
-                    index, candidate, mac, parent_counter
-                ):
-                    continue
-                if sidecar_bytes is not None:
-                    self._purify_sidecar(sidecar_index, sidecar_bytes, cost)
-                self._purify(1, index, candidate.to_bytes(), cost)
-                return candidate, mac
-        self._metadata_dead(1, index, "all copies failed verification")
+            candidate = self.integrity.check_clone(self, level, index, raw, touched, tag)
+            if candidate is not None:
+                self._purify(level, index, raw, cost)
+                return candidate
+        return self.integrity.fallback(self, level, index, tag, cost)
 
     def _purify(self, level: int, index: int, good_bytes: bytes, cost: OpCost) -> None:
         """Rewrite every copy of a node with the verified value."""
@@ -955,52 +634,9 @@ class SecureMemoryController:
         if self.tracer.enabled:
             self.tracer.emit("clone_repair", level=level, index=index)
         addresses = self.amap.all_copies(level, index)
-        self._enqueue_atomic(
-            [(address, good_bytes) for address in addresses],
-            cost,
-            ["clone"] * len(addresses),
-        )
+        self._write_copies(addresses, good_bytes, cost, "clone")
         for address in addresses:
             self.nvm.clear_poison(address)
-
-    def _get_counter(self, index: int, cost: OpCost) -> CounterEntry:
-        """Fetch (and verify) a level-1 counter block, via the cache."""
-        if self.integrity_mode == "bmt":
-            return self._get_counter_bmt(index, cost)
-        address = self.amap.node_addr(1, index)
-        payload = self._mcache.get(address)
-        if payload is not None:
-            return payload
-        eviction = self._victims.pop(address, None)
-        if eviction is not None:
-            return self._reclaim_victim(eviction, cost)
-        parent_counter = self._parent_counter_of(1, index, cost)
-        raw, touched = self._nvm_read(address, cost, "counter")
-        sidecar_address = self.amap.counter_mac_addr(index)
-        sidecar, _ = self._nvm_read(sidecar_address, cost, "counter_mac")
-        if self._effectively_poisoned(sidecar_address):
-            sidecar = self._recover_sidecar(index, cost)
-            if sidecar is None:
-                self._sidecar_dead(index)
-        slot = self.amap.counter_mac_slot(index)
-        stored_mac = sidecar[slot * MAC_BYTES:(slot + 1) * MAC_BYTES]
-        if not touched:
-            entry = CounterEntry(SplitCounterBlock(), mac=stored_mac)
-        else:
-            block = SplitCounterBlock.from_bytes(raw)
-            ok = not self._effectively_poisoned(address) and (
-                not self.functional_crypto
-                or self._auth.verify_counter_block(
-                    index, block, stored_mac, parent_counter
-                )
-            )
-            if not ok:
-                block, stored_mac = self._repair_counter(
-                    index, stored_mac, parent_counter, cost
-                )
-            entry = CounterEntry(block, mac=stored_mac)
-        self._fill_metadata(address, entry, False, cost)
-        return entry
 
     # ------------------------------------------------------------------
     # sidecar MAC resilience (ToC mode)
@@ -1059,11 +695,7 @@ class SecureMemoryController:
         if self.tracer.enabled:
             self.tracer.emit("sidecar_repair", sidecar=sidecar_index)
         addresses = self.amap.counter_mac_copies(sidecar_index)
-        self._enqueue_atomic(
-            [(address, good_bytes) for address in addresses],
-            cost,
-            ["clone"] * len(addresses),
-        )
+        self._write_copies(addresses, good_bytes, cost, "clone")
         for address in addresses:
             self.nvm.clear_poison(address)
 
@@ -1148,11 +780,9 @@ class SecureMemoryController:
         if eviction.dirty:
             region = self.amap.region_of(eviction.address)
             if region[0] == "counter":
-                self._shadow_note_counter(region[1], eviction.payload, cost)
+                self._shadow_note(1, region[1], eviction.payload, cost)
             elif region[0] == "tree":
-                self._shadow_note_node(
-                    region[1], region[2], eviction.payload.node, cost
-                )
+                self._shadow_note(region[1], region[2], eviction.payload, cost)
         return eviction.payload
 
     def _process_eviction(self, eviction, cost: OpCost) -> None:
@@ -1173,82 +803,7 @@ class SecureMemoryController:
         if not eviction.dirty:
             return
         self.stats.dirty_evictions_by_level[level] += 1
-        if level == 1:
-            self._persist_counter_entry(index, eviction.payload, cost)
-        else:
-            self._persist_node(level, index, eviction.payload.node, cost)
-
-    def _persist_counter_entry(self, index: int, entry: CounterEntry, cost: OpCost) -> None:
-        """Persist a counter block: bump parent, reseal, write block +
-        clones atomically, update the sidecar MAC.
-
-        In BMT mode persisting is just the writes — the parent's digest
-        was already refreshed by cached-eager propagation.
-        """
-        if self.integrity_mode == "bmt":
-            block_bytes = entry.block.to_bytes()
-            addresses = self.amap.all_copies(1, index)
-            self._enqueue_atomic(
-                [(address, block_bytes) for address in addresses],
-                cost,
-                ["counter"] + ["clone"] * (len(addresses) - 1),
-            )
-            entry.reset_updates()
-            return
-        parent_counter = self._bump_parent(1, index, cost)
-        if self.functional_crypto:
-            entry.mac = self._auth.counter_block_mac(
-                index, entry.block, parent_counter
-            )
-        block_bytes = entry.block.to_bytes()
-        addresses = self.amap.all_copies(1, index)
-        self._enqueue_atomic(
-            [(address, block_bytes) for address in addresses],
-            cost,
-            ["counter"] + ["clone"] * (len(addresses) - 1),
-        )
-        sidecar_address = self.amap.counter_mac_addr(index)
-        sidecar, _ = self._nvm_read(sidecar_address, cost, "counter_mac")
-        if self.nvm.is_poisoned(sidecar_address):
-            # Don't fold a garbled base into the read-modify-write; a
-            # live clone (or cache rebuild) supplies clean other slots.
-            recovered = self._recover_sidecar(index, cost)
-            if recovered is not None:
-                sidecar = recovered
-        slot = self.amap.counter_mac_slot(index)
-        sidecar = (
-            sidecar[: slot * MAC_BYTES]
-            + entry.mac
-            + sidecar[(slot + 1) * MAC_BYTES:]
-        )
-        sidecar_copies = self.amap.counter_mac_copies(self._sidecar_index_of(index))
-        self._enqueue_atomic(
-            [(address, sidecar) for address in sidecar_copies],
-            cost,
-            ["counter_mac"] + ["clone"] * (len(sidecar_copies) - 1),
-        )
-        entry.reset_updates()
-
-    def _persist_node(self, level: int, index: int, node, cost: OpCost) -> None:
-        if self.integrity_mode == "bmt":
-            node_bytes = node.to_bytes()
-            addresses = self.amap.all_copies(level, index)
-            self._enqueue_atomic(
-                [(address, node_bytes) for address in addresses],
-                cost,
-                ["tree"] + ["clone"] * (len(addresses) - 1),
-            )
-            return
-        parent_counter = self._bump_parent(level, index, cost)
-        if self.functional_crypto:
-            self._auth.seal_node(level, index, node, parent_counter)
-        node_bytes = node.to_bytes()
-        addresses = self.amap.all_copies(level, index)
-        self._enqueue_atomic(
-            [(address, node_bytes) for address in addresses],
-            cost,
-            ["tree"] + ["clone"] * (len(addresses) - 1),
-        )
+        self.integrity.persist(self, level, index, eviction.payload, cost)
 
     def _reencrypt_page(
         self, counter_index: int, entry: CounterEntry, overflow, cost: OpCost
@@ -1298,47 +853,33 @@ class SecureMemoryController:
                 self.amap.mac_addr(base_index), mac_block.to_bytes(), cost, "mac"
             )
         self.stats.osiris_persists += 1
-        self._persist_counter_entry(counter_index, entry, cost)
+        self.integrity.persist(self, 1, counter_index, entry, cost)
 
     # ------------------------------------------------------------------
     # shadow tracking
     # ------------------------------------------------------------------
 
-    @property
-    def _tracks_shadow(self) -> bool:
-        """Anubis tracking applies only to lazy ToC operation: eager
-        mode keeps NVM current, and BMT mode recovers by regeneration."""
-        return self.update_policy == "lazy" and self.integrity_mode == "toc"
-
-    def _shadow_note_counter(self, index: int, entry: CounterEntry, cost: OpCost) -> None:
-        if not self._tracks_shadow:
+    def _shadow_note(self, level: int, index: int, payload, cost: OpCost) -> None:
+        """Record a dirty cached counter block or node in its shadow slot."""
+        if not self._shadowed:
             return  # NVM is never stale, or recovery regenerates
-        address = self.amap.node_addr(1, index)
-        location = self._mcache.location_of(address)
-        record = ShadowRecord(
-            address=address,
-            kind=KIND_COUNTER,
-            lsbs=(0,) * 8,
-            mac=self._shadow.record_mac(address, entry.block.to_bytes()),
-        )
-        self._write_shadow(location, record, cost)
-
-    def _shadow_note_node(self, level: int, index: int, node: TocNode, cost: OpCost) -> None:
-        if not self._tracks_shadow:
-            return
         address = self.amap.node_addr(level, index)
         location = self._mcache.location_of(address)
-        mask = (1 << self.shadow_codec.lsb_bits) - 1
+        if level == 1:
+            kind, lsbs, content = KIND_COUNTER, (0,) * 8, payload.block.to_bytes()
+        else:
+            mask = (1 << self.shadow_codec.lsb_bits) - 1
+            kind = KIND_NODE
+            lsbs = tuple(c & mask for c in payload.node.counters)
+            content = payload.node.counters_bytes()
         record = ShadowRecord(
-            address=address,
-            kind=KIND_NODE,
-            lsbs=tuple(c & mask for c in node.counters),
-            mac=self._shadow.record_mac(address, node.counters_bytes()),
+            address=address, kind=kind, lsbs=lsbs,
+            mac=self._shadow.record_mac(address, content),
         )
         self._write_shadow(location, record, cost)
 
     def _shadow_tombstone(self, eviction, cost: OpCost) -> None:
-        if not self._tracks_shadow:
+        if not self._shadowed:
             return
         record = ShadowRecord(
             address=0, kind=KIND_EMPTY, lsbs=(0,) * 8, mac=ZERO_MAC
@@ -1365,7 +906,7 @@ class SecureMemoryController:
         giving up and calling :meth:`quarantine_node`.
         """
         addresses = list(self.amap.all_copies(level, index))
-        if level == 1 and self.integrity_mode == "toc":
+        if level == 1 and self.integrity.sidecar:
             addresses += self.amap.counter_mac_copies(self._sidecar_index_of(index))
         poisoned = [a for a in addresses if self._effectively_poisoned(a)]
         if not poisoned:
@@ -1382,10 +923,7 @@ class SecureMemoryController:
                 return "repaired"
             self._suppress_quarantine = True
             try:
-                if level == 1:
-                    self._get_counter(index, cost)
-                else:
-                    self._get_node(level, index, cost)
+                self._fetch(level, index, cost)
             except IntegrityError:
                 return "dead"
             finally:
@@ -1394,12 +932,7 @@ class SecureMemoryController:
         # latent poisoned clone survives the pass (a healthy-primary
         # fetch never even looks at its clones).
         if any(self.nvm.is_poisoned(a) for a in addresses):
-            if level == 1:
-                entry = self._get_counter(index, cost)
-                self._persist_counter_entry(index, entry, cost)
-            else:
-                node = self._get_node(level, index, cost)
-                self._persist_node(level, index, node, cost)
+            self.integrity.persist(self, level, index, self._fetch(level, index, cost), cost)
             self._mcache.mark_clean(address)
             self._wpq.drain_all()
         return "repaired"
@@ -1410,7 +943,7 @@ class SecureMemoryController:
         poisoned = [a for a in copies if self._effectively_poisoned(a)]
         if not poisoned:
             return "clean"
-        if self.integrity_mode == "bmt" or not any(
+        if not self.integrity.sidecar or not any(
             self.nvm.is_touched(a) for a in copies
         ):
             # BMT mode never consults the sidecar region, and untouched
@@ -1449,7 +982,7 @@ class SecureMemoryController:
             if not self.nvm.is_touched(address):
                 continue
             try:
-                self._get_counter(index, OpCost())
+                self._fetch(1, index, OpCost())
             except SecureMemoryError as exc:
                 failures.append(str(exc))
         for block_index in range(self.num_data_blocks):
@@ -1483,8 +1016,9 @@ class SecureMemoryController:
         return self._victims
 
     @property
-    def auth(self) -> TocAuthenticator:
-        return self._auth
+    def auth(self):
+        """The integrity mode's authenticator (ToC or BMT)."""
+        return self.integrity.auth
 
     @property
     def mac_engine(self) -> MacEngine:

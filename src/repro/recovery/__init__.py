@@ -14,12 +14,13 @@ Four procedures, one per persistence design point:
 :func:`recover_image` routes a :class:`~repro.controller.CrashImage` to
 the right procedure: the image's recorded scheme decides (via the
 :mod:`repro.schemes` registry); images from scheme-less controllers
-fall back to the integrity mode's default (ToC -> anubis, BMT ->
-osiris), which preserves the historical behaviour exactly.
+fall back to their integrity mode's own procedure
+(``IntegrityMode.recovery``: ToC -> anubis, BMT -> osiris).
 """
 
 from __future__ import annotations
 
+from repro.controller.strategy import integrity_class
 from repro.recovery.anubis import RecoveryManager, RecoveryReport
 from repro.recovery.osiris import OsirisRecovery, OsirisReport
 from repro.recovery.phoenix import PhoenixRecovery, PhoenixReport
@@ -43,7 +44,7 @@ def recovery_procedure_for(image) -> str:
         return resolve_scheme(image.scheme).recovery_procedure(
             image.integrity_mode
         )
-    return "anubis" if image.integrity_mode == "toc" else "osiris"
+    return integrity_class(image.integrity_mode).recovery
 
 
 def recover_image(image):

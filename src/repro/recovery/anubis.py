@@ -74,20 +74,7 @@ class RecoveryManager:
                 "Anubis shadow recovery applies to ToC mode; use "
                 "repro.recovery.OsirisRecovery for BMT images"
             )
-        ctrl = SecureMemoryController(
-            image.data_bytes,
-            nvm=image.nvm,
-            clone_policy=image.clone_policy,
-            shadow_codec=image.shadow_codec,
-            metadata_cache_bytes=image.metadata_cache_bytes,
-            metadata_ways=image.metadata_ways,
-            wpq_entries=image.wpq_entries,
-            osiris_limit=image.osiris_limit,
-            update_policy=image.update_policy,
-            quarantine=image.quarantine,
-            functional_crypto=True,
-            trusted=image.trusted,
-        )
+        ctrl = SecureMemoryController.from_image(image)
         report = RecoveryReport()
 
         canonical = {}

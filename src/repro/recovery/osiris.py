@@ -54,21 +54,7 @@ class OsirisRecovery:
     def recover(self):
         """Run full recovery; returns ``(controller, report)``."""
         image = self._image
-        ctrl = SecureMemoryController(
-            image.data_bytes,
-            nvm=image.nvm,
-            clone_policy=image.clone_policy,
-            shadow_codec=image.shadow_codec,
-            metadata_cache_bytes=image.metadata_cache_bytes,
-            metadata_ways=image.metadata_ways,
-            wpq_entries=image.wpq_entries,
-            osiris_limit=image.osiris_limit,
-            update_policy=image.update_policy,
-            integrity_mode="bmt",
-            quarantine=image.quarantine,
-            functional_crypto=True,
-            trusted=image.trusted,
-        )
+        ctrl = SecureMemoryController.from_image(image)
         report = OsirisReport()
 
         counters = self._recover_counters(ctrl, report)
@@ -167,7 +153,7 @@ class OsirisRecovery:
         """Rebuild every BMT level from the recovered counters upward,
         write everything (plus clones) back, and return the new root."""
         amap = ctrl.amap
-        auth = ctrl._bmt_auth  # recovery is part of the controller TCB
+        auth = ctrl.auth
 
         # Persist recovered counters first.
         for index, block in counters.items():

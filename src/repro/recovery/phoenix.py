@@ -65,24 +65,7 @@ class PhoenixRecovery:
     def recover(self):
         """Run full recovery; returns ``(controller, report)``."""
         image = self._image
-        ctrl = SecureMemoryController(
-            image.data_bytes,
-            nvm=image.nvm,
-            clone_policy=image.clone_policy,
-            shadow_codec=image.shadow_codec,
-            metadata_cache_bytes=image.metadata_cache_bytes,
-            metadata_ways=image.metadata_ways,
-            wpq_entries=image.wpq_entries,
-            osiris_limit=image.osiris_limit,
-            update_policy=image.update_policy,
-            integrity_mode="toc",
-            quarantine=image.quarantine,
-            persist_levels=image.persist_levels,
-            persist_batch=image.persist_batch,
-            scheme_name=image.scheme,
-            functional_crypto=True,
-            trusted=image.trusted,
-        )
+        ctrl = SecureMemoryController.from_image(image)
         report = PhoenixReport()
         needed = self._needed_indices(ctrl)
 

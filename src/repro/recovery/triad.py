@@ -50,26 +50,9 @@ class TriadRecovery:
     def recover(self):
         """Run full recovery; returns ``(controller, report)``."""
         image = self._image
-        ctrl = SecureMemoryController(
-            image.data_bytes,
-            nvm=image.nvm,
-            clone_policy=image.clone_policy,
-            shadow_codec=image.shadow_codec,
-            metadata_cache_bytes=image.metadata_cache_bytes,
-            metadata_ways=image.metadata_ways,
-            wpq_entries=image.wpq_entries,
-            osiris_limit=image.osiris_limit,
-            update_policy=image.update_policy,
-            integrity_mode="bmt",
-            quarantine=image.quarantine,
-            persist_levels=image.persist_levels,
-            persist_batch=image.persist_batch,
-            scheme_name=image.scheme,
-            functional_crypto=True,
-            trusted=image.trusted,
-        )
+        ctrl = SecureMemoryController.from_image(image)
         amap = ctrl.amap
-        auth = ctrl._bmt_auth  # recovery is part of the controller TCB
+        auth = ctrl.auth
         anchor_level = min(ctrl.persist_levels, amap.num_levels)
         report = TriadReport(persist_levels=anchor_level)
 

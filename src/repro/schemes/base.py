@@ -10,10 +10,15 @@ recovery procedure"):
   entries vs Soteria's duplicated Figure-8b format);
 * **update/persist policy** — when metadata reaches NVM (``lazy``,
   ``eager``, Triad-NVM's ``selective`` bottom-N levels, Phoenix's
-  ``batched`` whole-estate flush every N writes);
+  ``batched`` whole-estate flush every N writes), optionally pinned
+  together with an **integrity mode** (``toc`` / ``bmt``);
 * **recovery procedure** — how a crash image is brought back to a
   consistent state (Anubis shadow replay, Osiris regeneration, Triad's
   relaxed upper-level rebuild, Phoenix's top-down reseal).
+
+A scheme pins these as *names*: the controller resolves them into its
+strategy objects (:mod:`repro.controller.strategy`), which own the
+behaviour, the defaults and the cross-validity rules.
 
 Schemes register by name; every consumer resolves names through
 :func:`resolve_scheme`, so adding a scheme here makes it available to
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 
 from repro.controller.policy import CloningPolicy
 from repro.controller.shadow import AnubisShadowCodec
+from repro.controller.strategy import integrity_class
 from repro.memory import tree_level_sizes
 
 #: The trio every paper figure is pinned to, in the paper's order.
@@ -60,7 +66,7 @@ class SecurityScheme:
     persist_batch: int = None
     #: Registered recovery-procedure name (see
     #: :data:`repro.recovery.RECOVERY_PROCEDURES`); ``None`` defers to
-    #: the integrity mode's default (ToC -> anubis, BMT -> osiris).
+    #: the integrity mode's own (``IntegrityMode.recovery``).
     recovery: str = None
     aliases: tuple = ()
     builtin: bool = False
@@ -106,13 +112,18 @@ class SecurityScheme:
         """{level: copies} for a memory of ``data_bytes``."""
         return self.depth_map(len(tree_level_sizes(data_bytes // 64)))
 
+    def effective_integrity_mode(self, requested: str = None) -> str:
+        """The integrity mode this scheme runs under when a caller asks
+        for ``requested``: the scheme's pin wins, then ``requested``,
+        then the default.  Raises ``ValueError`` for an unknown mode."""
+        return integrity_class(self.integrity_mode or requested).name
+
     def recovery_procedure(self, integrity_mode: str = None) -> str:
         """The effective recovery-procedure name for this scheme under
         ``integrity_mode`` (which the scheme's own pin overrides)."""
         if self.recovery is not None:
             return self.recovery
-        mode = self.integrity_mode or integrity_mode or "toc"
-        return "anubis" if mode == "toc" else "osiris"
+        return integrity_class(self.effective_integrity_mode(integrity_mode)).recovery
 
 
 _REGISTRY: dict = {}

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
+from repro.controller.strategy import update_policy_class
+
 KB = 1024
 MB = 1024 * KB
 
@@ -51,8 +53,8 @@ def _scheme_registry_row(scheme, data_bytes: int) -> dict:
             str(level): depth
             for level, depth in sorted(scheme.depths_for(data_bytes).items())
         },
-        "update_policy": scheme.update_policy or "lazy",
-        "integrity_mode": scheme.integrity_mode or "toc",
+        "update_policy": update_policy_class(scheme.update_policy).name,
+        "integrity_mode": scheme.effective_integrity_mode(),
         "persist_levels": scheme.persist_levels,
         "persist_batch": scheme.persist_batch,
         "recovery_procedure": scheme.recovery_procedure(),

@@ -70,14 +70,9 @@ class CrashPointConfig:
     def __post_init__(self):
         scheme = resolve_scheme(self.scheme)
         object.__setattr__(self, "scheme", scheme.name)
-        # A scheme that pins its integrity mode (triad -> bmt, phoenix
-        # -> toc) wins over the config knob; the harness then reports
-        # the mode the controller actually ran under.
-        if scheme.integrity_mode:
-            object.__setattr__(self, "integrity_mode",
-                               scheme.integrity_mode)
-        if self.integrity_mode not in ("toc", "bmt"):
-            raise ValueError("integrity_mode must be 'toc' or 'bmt'")
+        # The harness reports the mode the controller actually ran under.
+        object.__setattr__(self, "integrity_mode",
+                           scheme.effective_integrity_mode(self.integrity_mode))
         if self.ops < 1 or self.num_points < 1:
             raise ValueError("ops and num_points must be >= 1")
         if not 0.0 < self.write_fraction <= 1.0:

@@ -63,12 +63,8 @@ class ReplayConfig:
     def __post_init__(self):
         scheme = resolve_scheme(self.scheme)
         object.__setattr__(self, "scheme", scheme.name)
-        # A scheme that pins its integrity mode wins over the knob.
-        if scheme.integrity_mode:
-            object.__setattr__(self, "integrity_mode",
-                               scheme.integrity_mode)
-        if self.integrity_mode not in ("toc", "bmt"):
-            raise ValueError("integrity_mode must be 'toc' or 'bmt'")
+        object.__setattr__(self, "integrity_mode",
+                           scheme.effective_integrity_mode(self.integrity_mode))
 
 
 def expand_data(value) -> bytes:

@@ -12,6 +12,7 @@ from repro.controller import SecureMemoryController
 from repro.core import make_controller
 from repro.core.cloning import RelaxedCloning
 from repro.core.shadow_dup import SoteriaShadowCodec
+from repro.recovery import recover_image
 from repro.schemes import (
     PAPER_SCHEMES,
     SecurityScheme,
@@ -112,23 +113,54 @@ class TestRegistry:
 
 
 class TestPolicyValidation:
-    def test_selective_requires_bmt(self):
-        with pytest.raises(ValueError, match="selective"):
-            SecureMemoryController(
-                32 * KB, update_policy="selective", integrity_mode="toc",
-            )
-
-    def test_batched_requires_toc(self):
-        with pytest.raises(ValueError, match="batched"):
-            SecureMemoryController(
-                32 * KB, update_policy="batched", integrity_mode="bmt",
-            )
+    # The policy x integrity-mode pair rules are covered by
+    # tests/test_update_policy.py::TestPolicyModeMatrix.
 
     def test_persist_knobs_validated(self):
         with pytest.raises(ValueError, match="persist_levels"):
             SecureMemoryController(32 * KB, persist_levels=0)
         with pytest.raises(ValueError, match="persist_batch"):
             SecureMemoryController(32 * KB, persist_batch=0)
+
+
+def _scheme_modes():
+    """(scheme, integrity mode) for every registered scheme: its pinned
+    mode, or both trees when the scheme leaves the mode to the caller."""
+    return [
+        (scheme.name, mode)
+        for scheme in all_schemes()
+        for mode in dict.fromkeys(
+            scheme.effective_integrity_mode(m) for m in ("toc", "bmt")
+        )
+    ]
+
+
+class TestRecoveredControllerKeepsScheme:
+    """A recovered controller is configured exactly as the crashed one:
+    crash, recover, write and crash again keeps every scheme knob."""
+
+    @pytest.mark.parametrize("name,mode", _scheme_modes())
+    def test_second_crash_keeps_scheme(self, name, mode):
+        ctrl = make_controller(
+            name, 64 * KB, metadata_cache_bytes=2 * KB,
+            integrity_mode=mode, persist_levels=3, persist_batch=5,
+            rng=np.random.default_rng(3),
+        )
+        rng = np.random.default_rng(4)
+        for _ in range(120):
+            ctrl.write(int(rng.integers(0, ctrl.num_data_blocks)),
+                       bytes(int(x) for x in rng.integers(0, 256, 64)))
+        recovered, __ = recover_image(ctrl.crash())
+        recovered.write(0, bytes(range(64)))
+        image = recovered.crash()
+        knobs = ("update_policy", "integrity_mode", "persist_levels",
+                 "persist_batch")
+        assert image.scheme == name
+        for knob in knobs:
+            assert getattr(image, knob) == getattr(ctrl, knob), knob
+        again, __ = recover_image(image)
+        assert again.scheme_name == name
+        assert again.read(0).data == bytes(range(64))
 
 
 class TestGoldenPin:

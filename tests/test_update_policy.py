@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.controller import SecureMemoryController
-from repro.recovery import RecoveryManager
+from repro.controller.strategy import INTEGRITY_MODES, UPDATE_POLICIES
+from repro.recovery import RecoveryManager, recover_image
 
 KB = 1024
 MB = 1024 * KB
@@ -113,3 +114,44 @@ class TestEagerUpdates:
         assert image.update_policy == "eager"
         recovered, __ = RecoveryManager(image).recover()
         assert recovered.update_policy == "eager"
+
+
+#: The pairs a policy's recovery cannot work under, and the rule named.
+INVALID_PAIRS = {
+    ("selective", "toc"): "'selective' update policy requires integrity_mode='bmt'",
+    ("batched", "bmt"): "'batched' update policy requires integrity_mode='toc'",
+}
+
+
+class TestPolicyModeMatrix:
+    """Every update policy under every integrity mode, scheme-less."""
+
+    @pytest.mark.parametrize("policy,mode", [
+        (policy, mode) for policy in UPDATE_POLICIES for mode in INTEGRITY_MODES
+    ])
+    def test_pair(self, policy, mode):
+        def build():
+            return SecureMemoryController(
+                256 * KB,
+                metadata_cache_bytes=4 * KB,
+                update_policy=policy,
+                integrity_mode=mode,
+                rng=np.random.default_rng(11),
+            )
+
+        rule = INVALID_PAIRS.get((policy, mode))
+        if rule is not None:
+            with pytest.raises(ValueError, match=rule):
+                build()
+            return
+        ctrl = build()
+        expect = storm(ctrl, ops=400, seed=12)
+        recovered, __ = recover_image(ctrl.crash())
+        assert (recovered.update_policy, recovered.integrity_mode) == (
+            policy, mode,
+        )
+        lost = [
+            block for block, data in expect.items()
+            if recovered.read(block).data != data
+        ]
+        assert lost == []
