@@ -49,7 +49,7 @@ def main():
     print("=== crash + recovery (baseline Anubis tracking) ===")
     ctrl, expected = run_store("baseline")
     print(f"stored {len(expected)} keys; dirty metadata in cache: "
-          f"{sum(1 for *_ , d in ctrl.metadata_cache.resident() if d)}")
+          f"{len(ctrl.metadata_cache.dirty_lines())}")
 
     image = ctrl.crash()  # power loss: cache gone, WPQ flushed by ADR
     recovered, report = RecoveryManager(image).recover()

@@ -94,24 +94,24 @@ class MetadataCacheStats:
 
 
 class _Slot:
-    __slots__ = ("address", "payload", "dirty", "stamp", "way")
+    __slots__ = ("address", "payload", "dirty", "way")
 
     def __init__(self, way: int = 0):
         self.address = None
         self.payload = None
         self.dirty = False
-        self.stamp = 0
         self.way = way
 
 
 class MetadataCache:
     """Set-associative LRU cache of metadata payloads with fixed ways.
 
-    Lookup is dict-backed (one address->slot map per set) so the hot
-    ``get``/``fill`` path is O(1) instead of an O(ways) tag scan, while
-    the slot objects themselves stay fixed: a block's (set, way) — and
-    hence its ``slot_id`` for the shadow table — is identical to the
-    linear-scan implementation on any access sequence.
+    Lookup is dict-backed (one address->slot map per set, in LRU order)
+    so the hot ``get``/``fill`` path is O(1) instead of an O(ways) tag
+    scan, while the slot objects themselves stay fixed: a block's (set,
+    way) — and hence its ``slot_id`` for the shadow table — is identical
+    to the linear-scan implementation on any access sequence.  A dirty
+    index lets a flush walk only the lines that changed.
     """
 
     def __init__(
@@ -129,9 +129,10 @@ class MetadataCache:
         self._sets = [
             [_Slot(way) for way in range(ways)] for _ in range(self.num_sets)
         ]
-        # Per-set tag index: address -> occupied _Slot.
+        # Per-set tag index: address -> occupied _Slot, LRU first.
         self._index = [{} for _ in range(self.num_sets)]
-        self._clock = 0
+        # Dirty index: address -> _Slot of every resident dirty line.
+        self._dirty = {}
         self.stats = MetadataCacheStats(registry=registry)
         # Hot-loop hoists: direct instrument references keep get/fill at
         # plain-attribute-store cost.
@@ -167,15 +168,13 @@ class MetadataCache:
         Hit/miss statistics are recorded here: every metadata lookup
         goes through ``get`` before the controller decides to fill.
         """
-        self._clock += 1
-        slot = self._index[(address // self.line_size) % self.num_sets].get(
-            address
-        )
+        lines = self._index[(address // self.line_size) % self.num_sets]
+        slot = lines.pop(address, None)
         if slot is None:
             self._st_misses.n += 1
             return None
         self._st_hits.n += 1
-        slot.stamp = self._clock
+        lines[address] = slot
         return slot.payload
 
     def peek(self, address: int):
@@ -195,28 +194,29 @@ class MetadataCache:
         """
         if address % self.line_size != 0:
             raise ValueError(f"address {address:#x} not line-aligned")
-        self._clock += 1
-        set_idx, way, slot = self._find(address)
+        set_idx = (address // self.line_size) % self.num_sets
+        lines = self._index[set_idx]
+        slot = lines.pop(address, None)
         if slot is not None:
+            lines[address] = slot
             slot.payload = payload
-            slot.dirty = slot.dirty or dirty
-            slot.stamp = self._clock
+            if dirty:
+                slot.dirty = True
+                self._dirty[address] = slot
             return None
 
-        slots = self._sets[set_idx]
-        victim = None
-        for s in slots:
-            if s.address is None:
-                victim = s
-                break
         eviction = None
-        if victim is None:
-            # min() keeps the first (lowest-way) slot among stamp ties,
-            # matching the linear-scan implementation exactly.
-            victim = min(slots, key=lambda s: s.stamp)
+        if len(lines) < self.ways:
+            # The lowest free way, as the linear-scan implementation.
+            victim = next(s for s in self._sets[set_idx] if s.address is None)
+        else:
+            # Least recently touched: every touch re-appends its line,
+            # so the first entry is the linear scan's min-stamp slot.
+            victim = next(iter(lines.values()))
             self._st_evictions.n += 1
             if victim.dirty:
                 self._st_dirty_evictions.n += 1
+                del self._dirty[victim.address]
             eviction = MetadataEviction(
                 address=victim.address,
                 payload=victim.payload,
@@ -224,12 +224,13 @@ class MetadataCache:
                 set_index=set_idx,
                 way=victim.way,
             )
-            del self._index[set_idx][victim.address]
+            del lines[victim.address]
         victim.address = address
         victim.payload = payload
         victim.dirty = dirty
-        victim.stamp = self._clock
-        self._index[set_idx][address] = victim
+        lines[address] = victim
+        if dirty:
+            self._dirty[address] = victim
         return eviction
 
     def mark_dirty(self, address: int) -> None:
@@ -237,6 +238,7 @@ class MetadataCache:
         if slot is None:
             raise KeyError(f"address {address:#x} not resident")
         slot.dirty = True
+        self._dirty[address] = slot
 
     def mark_clean(self, address: int) -> None:
         """Clear the dirty bit after an in-place persist (no eviction)."""
@@ -244,10 +246,17 @@ class MetadataCache:
         if slot is None:
             raise KeyError(f"address {address:#x} not resident")
         slot.dirty = False
+        self._dirty.pop(address, None)
 
     def is_dirty(self, address: int) -> bool:
-        slot = self._find(address)[2]
-        return slot is not None and slot.dirty
+        return address in self._dirty
+
+    def dirty_lines(self, start: int = 0, stop: float = float("inf")) -> list:
+        """(address, payload) of each dirty line with ``start <= address
+        < stop``, in ascending address order."""
+        dirty = self._dirty
+        in_range = sorted(a for a in dirty if start <= a < stop)
+        return [(a, dirty[a].payload) for a in in_range]
 
     def invalidate(self, address: int):
         """Drop a block (no writeback); returns its eviction record."""
@@ -262,10 +271,10 @@ class MetadataCache:
             way=way,
         )
         del self._index[set_idx][slot.address]
+        self._dirty.pop(slot.address, None)
         slot.address = None
         slot.payload = None
         slot.dirty = False
-        slot.stamp = 0
         return record
 
     def flush_all(self):
@@ -287,8 +296,8 @@ class MetadataCache:
                 slot.address = None
                 slot.payload = None
                 slot.dirty = False
-                slot.stamp = 0
             self._index[set_idx].clear()
+        self._dirty.clear()
         return records
 
     def resident(self):

@@ -37,8 +37,8 @@ from repro.controller.payloads import CounterEntry, MacBlockEntry
 from repro.controller.policy import CloningPolicy
 from repro.controller.quarantine import QuarantineRegistry
 from repro.controller.shadow import (
+    EMPTY_RECORD,
     KIND_COUNTER,
-    KIND_EMPTY,
     KIND_NODE,
     AnubisShadowCodec,
     ShadowManager,
@@ -236,14 +236,15 @@ class SecureMemoryController:
         """Read and verify one 64-byte data block."""
         cost = OpCost()
         self.stats.data_reads += 1
+        # The one bounds check: every other coordinate of the block
+        # derives from this validated index by plain arithmetic.
         address = self.amap.data_addr(block_index)
         if self.tracer.enabled:
             self.tracer.emit("demand_read", block=block_index, address=address)
         self._check_quarantine(block_index, address)
-        entry = self._fetch(1, self.amap.counter_index_of_data(block_index), cost)
-        counter = entry.block.effective_counter(
-            self.amap.counter_slot_of_data(block_index)
-        )
+        counter_index, slot = divmod(block_index, SPLIT_COUNTER_ARITY)
+        entry = self._fetch(1, counter_index, cost)
+        counter = entry.block.effective_counter(slot)
 
         # A pending WPQ store is inside the ADR persistence domain and
         # supersedes dead media cells (the drain rewrites the row and
@@ -260,7 +261,7 @@ class SecureMemoryController:
             return ReadResult(data=bytes(64), cost=cost)
 
         mac_block = self._get_mac_block(block_index, cost)
-        stored_mac = mac_block.macs[self.amap.mac_slot(block_index)]
+        stored_mac = mac_block.macs[block_index % 8]
         if self.functional_crypto:
             if self._mac.data_mac(ciphertext, address, counter) != stored_mac:
                 self.stats.integrity_failures += 1
@@ -283,14 +284,15 @@ class SecureMemoryController:
             raise ValueError(f"data must be 64 bytes, got {len(data)}")
         cost = OpCost()
         self.stats.data_writes += 1
-        address = self.amap.data_addr(block_index)
+        address = self.amap.data_addr(block_index)  # the one bounds check
         self._check_quarantine(block_index, address)
-        counter_index = self.amap.counter_index_of_data(block_index)
-        slot = self.amap.counter_slot_of_data(block_index)
+        counter_index, slot = divmod(block_index, SPLIT_COUNTER_ARITY)
 
         entry = self._fetch(1, counter_index, cost)
         overflow = entry.block.increment(slot)
-        self._mcache.mark_dirty(self.amap.node_addr(1, counter_index))
+        self._mcache.mark_dirty(
+            self.amap.counter_offset + counter_index * self.amap.block_size
+        )
         try:
             if overflow is not None:
                 self._reencrypt_page(counter_index, entry, overflow, cost)
@@ -307,9 +309,9 @@ class SecureMemoryController:
             self._enqueue_write(address, ciphertext, cost, "data")
 
             mac_block = self._get_mac_block(block_index, cost)
-            mac_block.macs[self.amap.mac_slot(block_index)] = data_mac
+            mac_block.macs[block_index % 8] = data_mac
             self._enqueue_write(
-                self.amap.mac_addr(block_index), mac_block.to_bytes(), cost, "mac"
+                self._mac_addr(block_index), mac_block.to_bytes(), cost, "mac"
             )
             self.persist_policy.after_write(self, counter_index, entry, updates, cost)
         except SecureMemoryError:
@@ -345,25 +347,24 @@ class SecureMemoryController:
     def _flush_metadata(self, cost: OpCost) -> None:
         """Persist every dirty metadata block in place, leaves up (the
         shared body of :meth:`flush` and the Phoenix batch flush; the
-        WPQ keeps draining in the background here)."""
-        for level in range(1, self.amap.num_levels + 1):
-            for address, payload, dirty in self._mcache.resident():
-                if not dirty or not self._mcache.is_dirty(address):
+        WPQ keeps draining in the background here).  Each level's dirty
+        lines are snapshotted as the level starts; a line persists only
+        if it is still dirty when its turn comes."""
+        amap, mcache = self.amap, self._mcache
+        for level in range(1, amap.num_levels + 1):
+            start = amap.level_offsets[level]
+            stop = start + amap.level_sizes[level - 1] * amap.block_size
+            for address, payload in mcache.dirty_lines(start, stop):
+                if not mcache.is_dirty(address):
                     continue
-                region = self.amap.region_of(address)
-                if region[0] == "counter" and level == 1:
-                    index = region[1]
-                elif region[0] == "tree" and region[1] == level:
-                    index = region[2]
-                else:
-                    continue
+                index = (address - start) // amap.block_size
                 self.integrity.persist(self, level, index, payload, cost)
                 # Persisting can itself evict this line (a ToC parent
                 # bump may miss-fetch into a full set); the victim
                 # drain already persisted it, so only clean what is
                 # still resident.
-                if self._mcache.contains(address):
-                    self._mcache.mark_clean(address)
+                if mcache.contains(address):
+                    mcache.mark_clean(address)
 
     def rekey(self, rng=None) -> OpCost:
         """Re-encrypt the entire memory under fresh keys.
@@ -574,7 +575,7 @@ class SecureMemoryController:
             return pending, True
         cost.blocking_reads += 1
         self.stats.record_read(kind)
-        return self.nvm.read_block(address), self.nvm.is_touched(address)
+        return self.nvm.read_block(address), address in self.nvm
 
     def _enqueue_write(self, address: int, data: bytes, cost: OpCost, kind: str) -> None:
         self._wpq.enqueue(address, data)
@@ -598,7 +599,8 @@ class SecureMemoryController:
         """Fetch (and verify) a counter block (level 1) or tree node via
         the cache: victim reclaim, then the parent's tag, the NVM read,
         and the integrity mode's verify-and-repair before the fill."""
-        address = self.amap.node_addr(level, index)
+        amap = self.amap
+        address = amap.level_offsets[level] + index * amap.block_size
         payload = self._mcache.get(address)
         if payload is not None:
             return payload
@@ -642,9 +644,9 @@ class SecureMemoryController:
     # sidecar MAC resilience (ToC mode)
     # ------------------------------------------------------------------
 
-    def _sidecar_index_of(self, counter_index: int) -> int:
-        address = self.amap.counter_mac_addr(counter_index)
-        return (address - self.amap.counter_mac_offset) // self.amap.block_size
+    @staticmethod
+    def _sidecar_index_of(counter_index: int) -> int:
+        return counter_index // 8
 
     def _recover_sidecar(self, counter_index: int, cost: OpCost):
         """Primary sidecar copy poisoned: promote a live clone, or
@@ -712,8 +714,12 @@ class SecureMemoryController:
             raise QuarantinedError(address, 0, sidecar_index, reason)
         raise IntegrityError(address, 0, sidecar_index, reason)
 
+    def _mac_addr(self, block_index: int) -> int:
+        """Address of the data-MAC block of an already-checked index."""
+        return self.amap.mac_offset + (block_index // 8) * self.amap.block_size
+
     def _get_mac_block(self, block_index: int, cost: OpCost) -> MacBlockEntry:
-        address = self.amap.mac_addr(block_index)
+        address = self._mac_addr(block_index)
         payload = self._mcache.get(address)
         if payload is not None:
             return payload
@@ -817,7 +823,7 @@ class SecureMemoryController:
             block_index = counter_index * SPLIT_COUNTER_ARITY + slot
             if block_index >= self.num_data_blocks:
                 break
-            address = self.amap.data_addr(block_index)
+            address = block_index * self.amap.block_size
             raw, touched = self._nvm_read(address, cost, "data")
             if not touched:
                 continue
@@ -825,7 +831,7 @@ class SecureMemoryController:
                 old_counter = (overflow.old_major << 7) | overflow.old_minors[slot]
                 new_counter = entry.block.effective_counter(slot)
                 mac_block = self._get_mac_block(block_index, cost)
-                mac_slot = self.amap.mac_slot(block_index)
+                mac_slot = block_index % 8
                 if self._effectively_poisoned(address) or (
                     self._mac.data_mac(raw, address, old_counter)
                     != mac_block.macs[mac_slot]
@@ -850,7 +856,7 @@ class SecureMemoryController:
         for base_index in sorted(touched_mac_blocks):
             mac_block = self._get_mac_block(base_index, cost)
             self._enqueue_write(
-                self.amap.mac_addr(base_index), mac_block.to_bytes(), cost, "mac"
+                self._mac_addr(base_index), mac_block.to_bytes(), cost, "mac"
             )
         self.stats.osiris_persists += 1
         self.integrity.persist(self, 1, counter_index, entry, cost)
@@ -863,28 +869,29 @@ class SecureMemoryController:
         """Record a dirty cached counter block or node in its shadow slot."""
         if not self._shadowed:
             return  # NVM is never stale, or recovery regenerates
-        address = self.amap.node_addr(level, index)
+        address = self.amap.level_offsets[level] + index * self.amap.block_size
         location = self._mcache.location_of(address)
         if level == 1:
-            kind, lsbs, content = KIND_COUNTER, (0,) * 8, payload.block.to_bytes()
+            kind, lsbs = KIND_COUNTER, (0,) * 8
         else:
             mask = (1 << self.shadow_codec.lsb_bits) - 1
             kind = KIND_NODE
             lsbs = tuple(c & mask for c in payload.node.counters)
-            content = payload.node.counters_bytes()
-        record = ShadowRecord(
-            address=address, kind=kind, lsbs=lsbs,
-            mac=self._shadow.record_mac(address, content),
-        )
+        mac = ZERO_MAC
+        if self.functional_crypto:
+            # Only the MAC reads the serialised counters.
+            content = (
+                payload.block.to_bytes() if level == 1
+                else payload.node.counters_bytes()
+            )
+            mac = self._shadow.record_mac(address, content)
+        record = ShadowRecord(address=address, kind=kind, lsbs=lsbs, mac=mac)
         self._write_shadow(location, record, cost)
 
     def _shadow_tombstone(self, eviction, cost: OpCost) -> None:
         if not self._shadowed:
             return
-        record = ShadowRecord(
-            address=0, kind=KIND_EMPTY, lsbs=(0,) * 8, mac=ZERO_MAC
-        )
-        self._write_shadow((eviction.set_index, eviction.way), record, cost)
+        self._write_shadow((eviction.set_index, eviction.way), EMPTY_RECORD, cost)
 
     def _write_shadow(self, location, record: ShadowRecord, cost: OpCost) -> None:
         slot_id = self._mcache.slot_id(*location)

@@ -52,6 +52,12 @@ class ShadowRecord:
         return self.kind == KIND_EMPTY
 
 
+#: What a vacated cache slot's entry holds (a tombstone).
+EMPTY_RECORD = ShadowRecord(
+    address=0, kind=KIND_EMPTY, lsbs=(0,) * 8, mac=b"\x00" * MAC_BYTES
+)
+
+
 class AnubisShadowCodec:
     """Single-copy entry: addr(8) | 8 x 48-bit LSBs (48) | MAC(8)."""
 
@@ -100,7 +106,7 @@ def _unpack_subentry(raw: bytes, lsb_bits: int, lsb_bytes: int) -> ShadowRecord:
     mac_offset = 8 + 8 * lsb_bytes
     mac = raw[mac_offset:mac_offset + MAC_BYTES]
     if kind not in (KIND_COUNTER, KIND_NODE):
-        return ShadowRecord(address=0, kind=KIND_EMPTY, lsbs=(0,) * 8, mac=b"\x00" * 8)
+        return EMPTY_RECORD
     return ShadowRecord(address=address, kind=kind, lsbs=lsbs, mac=mac)
 
 
@@ -134,6 +140,8 @@ class ShadowManager:
         self.functional = functional
         self.tree = BonsaiMerkleTree(amap.shadow_entries, mac_engine)
         self.writes = 0
+        # Tombstones are the commonest entry and never change.
+        self._empty_raw = codec.encode(EMPTY_RECORD)
 
     # ---- MAC helpers ----
 
@@ -150,8 +158,9 @@ class ShadowManager:
     def write_entry(self, slot_id: int, record: ShadowRecord, wpq) -> None:
         """Persist a shadow entry for cache slot ``slot_id`` via the WPQ
         and (in functional mode) eagerly update the shadow BMT."""
-        raw = self.codec.encode(record)
-        wpq.enqueue(self._amap.shadow_entry_addr(slot_id), raw)
+        raw = self._empty_raw if record is EMPTY_RECORD else self.codec.encode(record)
+        amap = self._amap
+        wpq.enqueue(amap.shadow_offset + slot_id * amap.block_size, raw)
         self.writes += 1
         if self.functional:
             self.tree.update_leaf(slot_id, raw)

@@ -19,7 +19,7 @@ skeleton (``_fetch``).
 
 from __future__ import annotations
 
-from repro.constants import MAC_BYTES
+from repro.constants import MAC_BYTES, TOC_ARITY
 from repro.controller.payloads import CounterEntry, NodeEntry
 from repro.counters import SplitCounterBlock, TocNode
 from repro.tree import ZERO_DIGEST, BmtAuthenticator, BmtNode, TocAuthenticator
@@ -47,10 +47,11 @@ class IntegrityMode:
 
     def parent_tag(self, ctrl, level: int, index: int, cost):
         """What the parent (or the on-chip root) records for this block."""
-        parent = ctrl.amap.parent_of(level, index)
-        slot = ctrl.amap.child_slot(level, index)
-        node = ctrl.root if parent is None else ctrl._fetch(*parent, cost).node
-        return self.tag(node, slot)
+        if level == ctrl.amap.num_levels:
+            node = ctrl.root
+        else:
+            node = ctrl._fetch(level + 1, index // TOC_ARITY, cost).node
+        return self.tag(node, index % TOC_ARITY)
 
     def fallback(self, ctrl, level: int, index: int, tag, cost):
         """Last resort once no clone verifies: none, the node is dead."""
@@ -84,13 +85,14 @@ class ToC(IntegrityMode):
             ):
                 node = ctrl._repair(level, index, parent_counter, cost)
             return NodeEntry(node, level)
-        sidecar_address = ctrl.amap.counter_mac_addr(index)
+        amap = ctrl.amap
+        sidecar_address = amap.counter_mac_offset + (index // 8) * amap.block_size
         sidecar, _ = ctrl._nvm_read(sidecar_address, cost, "counter_mac")
         if ctrl._effectively_poisoned(sidecar_address):
             sidecar = ctrl._recover_sidecar(index, cost)
             if sidecar is None:
                 ctrl._sidecar_dead(index)
-        slot = ctrl.amap.counter_mac_slot(index)
+        slot = index % 8
         stored_mac = sidecar[slot * MAC_BYTES:(slot + 1) * MAC_BYTES]
         if not touched:
             return CounterEntry(SplitCounterBlock(), mac=stored_mac)
@@ -173,15 +175,16 @@ class ToC(IntegrityMode):
         """Increment the parent counter for a child persist; returns the
         new counter value.  A non-root parent becomes dirty in the cache
         and gets a fresh shadow entry."""
-        parent = ctrl.amap.parent_of(level, index)
-        slot = ctrl.amap.child_slot(level, index)
-        if parent is None:
+        amap = ctrl.amap
+        slot = index % TOC_ARITY
+        if level == amap.num_levels:
             ctrl.root.increment(slot)
             return ctrl.root.counter(slot)
-        pentry = ctrl._fetch(*parent, cost)
+        level, index = level + 1, index // TOC_ARITY
+        pentry = ctrl._fetch(level, index, cost)
         pentry.node.increment(slot)
-        ctrl._mcache.mark_dirty(ctrl.amap.node_addr(*parent))
-        ctrl._shadow_note(*parent, pentry, cost)
+        ctrl._mcache.mark_dirty(amap.level_offsets[level] + index * amap.block_size)
+        ctrl._shadow_note(level, index, pentry, cost)
         return pentry.node.counter(slot)
 
     def persist(self, ctrl, level: int, index: int, payload, cost) -> None:
@@ -203,7 +206,7 @@ class ToC(IntegrityMode):
         ctrl._write_copies(
             amap.all_copies(1, index), payload.block.to_bytes(), cost, "counter"
         )
-        sidecar_address = amap.counter_mac_addr(index)
+        sidecar_address = amap.counter_mac_offset + (index // 8) * amap.block_size
         sidecar, _ = ctrl._nvm_read(sidecar_address, cost, "counter_mac")
         if ctrl.nvm.is_poisoned(sidecar_address):
             # Don't fold a garbled base into the read-modify-write; a
@@ -211,7 +214,7 @@ class ToC(IntegrityMode):
             recovered = ctrl._recover_sidecar(index, cost)
             if recovered is not None:
                 sidecar = recovered
-        slot = amap.counter_mac_slot(index)
+        slot = index % 8
         sidecar = (
             sidecar[: slot * MAC_BYTES]
             + payload.mac
@@ -307,6 +310,7 @@ class BMT(IntegrityMode):
         any *evicted* block's NVM bytes always match its parent's
         recorded digest (fetch verification stays sound).
         """
+        amap = ctrl.amap
         functional = ctrl.functional_crypto
         child_bytes = entry.block.to_bytes() if functional else None
         level, index = 1, counter_index
@@ -316,15 +320,14 @@ class BMT(IntegrityMode):
                 if functional
                 else ZERO_DIGEST
             )
-            parent = ctrl.amap.parent_of(level, index)
-            slot = ctrl.amap.child_slot(level, index)
-            if parent is None:
+            slot = index % TOC_ARITY
+            if level == amap.num_levels:
                 ctrl.root.set_digest(slot, digest)
                 return
-            level, index = parent
+            level, index = level + 1, index // TOC_ARITY
             pnode = ctrl._fetch(level, index, cost).node
             pnode.set_digest(slot, digest)
-            ctrl._mcache.mark_dirty(ctrl.amap.node_addr(level, index))
+            ctrl._mcache.mark_dirty(amap.level_offsets[level] + index * amap.block_size)
             child_bytes = pnode.to_bytes() if functional else None
 
     def persist(self, ctrl, level: int, index: int, payload, cost) -> None:
@@ -442,13 +445,13 @@ class Eager(UpdatePolicy):
         in cache and current in NVM; higher dirty ancestors stay cached."""
         amap, mcache = ctrl.amap, ctrl._mcache
         ctrl.integrity.persist(ctrl, 1, counter_index, entry, cost)
-        address = amap.node_addr(1, counter_index)
+        address = amap.counter_offset + counter_index * amap.block_size
         if mcache.contains(address):
             mcache.mark_clean(address)
         index = counter_index
         for level in range(2, self.top_level(ctrl) + 1):
-            index //= 8
-            address = amap.node_addr(level, index)
+            index //= TOC_ARITY
+            address = amap.level_offsets[level] + index * amap.block_size
             if not mcache.is_dirty(address):
                 continue
             ctrl.integrity.persist(ctrl, level, index, mcache.peek(address), cost)

@@ -44,16 +44,17 @@ class SplitCounterBlock:
     ARITY = SPLIT_COUNTER_ARITY
 
     def __init__(self, major: int = 0, minors=None):
-        if minors is None:
-            minors = [0] * self.ARITY
-        minors = list(minors)
-        if len(minors) != self.ARITY:
-            raise ValueError(f"expected {self.ARITY} minor counters")
         if not 0 <= major <= _MAJOR_MAX:
             raise ValueError("major counter out of range")
-        for m in minors:
-            if not 0 <= m <= _MINOR_MAX:
-                raise ValueError("minor counter out of range")
+        if minors is None:
+            minors = [0] * self.ARITY
+        else:
+            minors = list(minors)
+            if len(minors) != self.ARITY:
+                raise ValueError(f"expected {self.ARITY} minor counters")
+            for m in minors:
+                if not 0 <= m <= _MINOR_MAX:
+                    raise ValueError("minor counter out of range")
         self.major = major
         self.minors = minors
 
@@ -100,12 +101,15 @@ class SplitCounterBlock:
         if len(raw) != CACHELINE_BYTES:
             raise ValueError(f"expected {CACHELINE_BYTES} bytes, got {len(raw)}")
         packed = int.from_bytes(raw[:56], "little")
-        minors = [
+        # Built directly: 7-bit masking and an 8-byte major are in
+        # range by construction, so the constructor's checks are moot.
+        block = cls.__new__(cls)
+        block.minors = [
             (packed >> (i * MINOR_COUNTER_BITS)) & _MINOR_MAX
             for i in range(cls.ARITY)
         ]
-        major = int.from_bytes(raw[56:], "little")
-        return cls(major=major, minors=minors)
+        block.major = int.from_bytes(raw[56:], "little")
+        return block
 
     def copy(self) -> "SplitCounterBlock":
         return SplitCounterBlock(major=self.major, minors=list(self.minors))

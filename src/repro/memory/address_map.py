@@ -24,6 +24,8 @@ the processor and has no memory address.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from repro.constants import (
     CACHELINE_BYTES,
     SPLIT_COUNTER_ARITY,
@@ -132,6 +134,25 @@ class AddressMap:
 
         self.total_bytes = cursor
 
+        #: Base address of each level's original copies (level 1 =
+        #: counters), the one table every node address derives from.
+        self.level_offsets = {1: self.counter_offset, **self.tree_offsets}
+        # region_of's table: (start, name, level, blocks per copy) in
+        # address order; an empty region shares the next one's start.
+        regions = [(0, "data", 0, 0), (self.mac_offset, "mac", 0, 0),
+                   (self.counter_offset, "counter", 0, 0),
+                   (self.counter_mac_offset, "counter_mac", 0, 0)]
+        regions += [(offset, "tree", level, 0)
+                    for level, offset in self.tree_offsets.items()]
+        regions += [(offset, "clone", level, self.level_sizes[level - 1])
+                    for level, offset in self.clone_offsets.items()]
+        regions += [(self.counter_mac_clone_offset, "counter_mac_clone", 0,
+                     self.num_counter_mac_blocks),
+                    (self.shadow_offset, "shadow", 0, 0),
+                    (self.shadow_tree_offset, "shadow_tree", 0, 0)]
+        self._regions = regions
+        self._region_starts = [region[0] for region in regions]
+
     # ---- per-region address calculators ----
 
     def data_addr(self, block_index: int) -> int:
@@ -173,9 +194,7 @@ class AddressMap:
         """
         self._check_level(level)
         self._check_index(index, self.level_sizes[level - 1], f"level-{level} node")
-        if level == 1:
-            return self.counter_offset + index * self.block_size
-        return self.tree_offsets[level] + index * self.block_size
+        return self.level_offsets[level] + index * self.block_size
 
     def clone_addr(self, level: int, index: int, copy: int) -> int:
         """Address of clone ``copy`` (1-based) of a metadata node."""
@@ -261,41 +280,19 @@ class AddressMap:
             raise ValueError(f"address {address:#x} not block-aligned")
         if not 0 <= address < self.total_bytes:
             raise ValueError(f"address {address:#x} outside mapped space")
-        if address < self.mac_offset:
-            return ("data", address // self.block_size)
-        if address < self.counter_offset:
-            return ("mac", (address - self.mac_offset) // self.block_size)
-        if address < self.counter_mac_offset:
-            return ("counter", (address - self.counter_offset) // self.block_size)
-        if address < self.counter_mac_offset + self.num_counter_mac_blocks * self.block_size:
-            return (
-                "counter_mac",
-                (address - self.counter_mac_offset) // self.block_size,
-            )
-        for level in range(self.num_levels, 1, -1):
-            offset = self.tree_offsets[level]
-            end = offset + self.level_sizes[level - 1] * self.block_size
-            if offset <= address < end:
-                return ("tree", level, (address - offset) // self.block_size)
-        for level, offset in self.clone_offsets.items():
-            per_copy = self.level_sizes[level - 1] * self.block_size
-            extra = self.clone_depths[level] - 1
-            end = offset + per_copy * extra
-            if offset <= address < end:
-                rel = address - offset
-                copy, rem = divmod(rel, per_copy)
-                return ("clone", level, rem // self.block_size, copy + 1)
-        if self.counter_mac_clone_offset <= address < self.shadow_offset:
-            per_copy = self.num_counter_mac_blocks * self.block_size
-            rel = address - self.counter_mac_clone_offset
-            copy, rem = divmod(rel, per_copy)
-            return ("counter_mac_clone", rem // self.block_size, copy + 1)
-        if self.shadow_offset <= address < self.shadow_offset + self.shadow_entries * self.block_size:
-            return ("shadow", (address - self.shadow_offset) // self.block_size)
-        return (
-            "shadow_tree",
-            (address - self.shadow_tree_offset) // self.block_size,
-        )
+        start, name, level, per_copy = self._regions[
+            bisect_right(self._region_starts, address) - 1
+        ]
+        block = (address - start) // self.block_size
+        if name == "tree":
+            return (name, level, block)
+        if name == "clone":
+            copy, block = divmod(block, per_copy)
+            return (name, level, block, copy + 1)
+        if name == "counter_mac_clone":
+            copy, block = divmod(block, per_copy)
+            return (name, block, copy + 1)
+        return (name, block)
 
     # ---- helpers ----
 

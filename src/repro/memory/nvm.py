@@ -158,6 +158,12 @@ class NvmDevice:
         self._check_address(address)
         return address in self._blocks
 
+    def __contains__(self, address: int) -> bool:
+        """``address in nvm``: :meth:`is_touched` without the address
+        check, for an address the caller derived from a checked index
+        (a misaligned or unmapped address is simply absent)."""
+        return address in self._blocks
+
     def touched_addresses(self):
         """Addresses that have ever been written (sorted)."""
         return sorted(self._blocks)

@@ -140,6 +140,8 @@ class WearLevelingNvm:
     def is_touched(self, address: int) -> bool:
         return self._nvm.is_touched(self._physical(address))
 
+    __contains__ = is_touched
+
     def touched_addresses(self):
         """Logical addresses currently holding written data."""
         out = []

@@ -34,10 +34,14 @@ class WritePendingQueue:
         self.capacity = capacity
         self._queue: deque = deque()
         self.enqueued_count = 0
-        self.drained_count = 0
 
     def __len__(self) -> int:
         return len(self._queue)
+
+    @property
+    def drained_count(self) -> int:
+        """Entries written to NVM: every accepted entry not still queued."""
+        return self.enqueued_count - len(self._queue)
 
     @property
     def free_entries(self) -> int:
@@ -50,7 +54,7 @@ class WritePendingQueue:
         NVM to make room — the caller never blocks, it just pays the
         drain in write traffic (already counted by the NVM device).
         """
-        while self.free_entries < 1:
+        if len(self._queue) >= self.capacity:
             self.drain_one()
         self._queue.append((address, bytes(data)))
         self.enqueued_count += 1
@@ -96,7 +100,6 @@ class WritePendingQueue:
             return False
         address, data = self._queue.popleft()
         self._nvm.write_block(address, data)
-        self.drained_count += 1
         return True
 
     def drain_all(self) -> int:

@@ -385,6 +385,22 @@ class _LinearScanMetadataCache:
         slot.stamp = 0
         return record
 
+    def flush_all(self):
+        records = []
+        for set_idx, slots in enumerate(self._sets):
+            for way, slot in enumerate(slots):
+                if slot.address is None:
+                    continue
+                records.append(MetadataEviction(
+                    address=slot.address, payload=slot.payload,
+                    dirty=slot.dirty, set_index=set_idx, way=way,
+                ))
+                slot.address = None
+                slot.payload = None
+                slot.dirty = False
+                slot.stamp = 0
+        return records
+
     def resident(self):
         out = []
         for slots in self._sets:
@@ -398,7 +414,8 @@ class _LinearScanMetadataCache:
 class TestMetadataCacheSlotStability:
     """Property: the dict-backed cache is observationally identical to
     the linear-scan reference on randomized traces — (set, way)/slot_id
-    assignments, LRU victim choice, eviction records, and stats."""
+    assignments, LRU victim choice, eviction records, stats, and the
+    dirty index the controller's flush walks."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("ways,size", [(2, 256), (4, 1024), (8, 4096)])
@@ -422,19 +439,38 @@ class TestMetadataCacheSlotStability:
                 if want is not None:
                     resident.discard(want.address)
                 resident.add(address)
-            elif op < 0.9 and resident:
+            elif op < 0.87 and resident:
                 target = min(resident)
                 fast.mark_dirty(target)
                 reference.mark_dirty(target)
+            elif op < 0.91 and resident:
+                ordered = sorted(resident)
+                target = ordered[int(rng.integers(0, len(ordered)))]
+                fast.mark_clean(target)
+                reference.mark_clean(target)
             elif op < 0.95:
                 got = fast.invalidate(address)
                 want = reference.invalidate(address)
                 assert got == want
                 resident.discard(address)
-            else:
+            elif op < 0.997:
                 assert fast.location_of(address) == reference.location_of(
                     address
                 )
+            else:
+                assert fast.flush_all() == reference.flush_all()
+                resident.clear()
+            # The dirty index is exactly the reference's dirty lines,
+            # ascending, with the payloads they hold now.
+            want = [
+                (a, payload) for a, payload, dirty in reference.resident()
+                if dirty
+            ]
+            assert fast.dirty_lines() == want
+            start = (step % num_blocks) * 64
+            assert fast.dirty_lines(start, start + 16 * 64) == [
+                line for line in want if start <= line[0] < start + 16 * 64
+            ]
             # The shadow table's view: every resident block occupies the
             # exact same (set, way) slot in both implementations.
             for target in resident:

@@ -392,3 +392,61 @@ class TestConstruction:
             trusted=image.trusted,
         )
         assert clone.read(0).data == b"\x07" * 64
+
+
+class TestBoundaryValidation:
+    """Untrusted input is checked once, where it enters; the miss path
+    behind each boundary runs on plain arithmetic.  Each boundary still
+    rejects bad input with the same exception type as before."""
+
+    @pytest.mark.parametrize("block", [-1, 4096, 10**6])
+    def test_controller_rejects_out_of_range_block(self, ctrl, block):
+        assert ctrl.num_data_blocks == 4096
+        with pytest.raises(IndexError):
+            ctrl.read(block)
+        with pytest.raises(IndexError):
+            ctrl.write(block, bytes(64))
+        assert ctrl.stats.nvm_reads_by_kind == {}
+        assert len(ctrl.metadata_cache) == 0
+
+    @pytest.mark.parametrize("address", [1, 65, -64, 64 * KB, 10**9])
+    @pytest.mark.parametrize("method", ["read_block", "is_touched", "write_block"])
+    def test_nvm_rejects_bad_address(self, method, address):
+        from repro.memory import NvmDevice
+
+        nvm = NvmDevice(capacity_bytes=64 * KB)
+        args = (address, bytes(64)) if method == "write_block" else (address,)
+        with pytest.raises(ValueError):
+            getattr(nvm, method)(*args)
+        assert nvm.read_count == nvm.write_count == 0
+        assert address not in nvm
+
+    @pytest.mark.parametrize("method", ["node_addr", "parent_of"])
+    def test_address_map_rejects_bad_level_or_index(self, method):
+        from repro.memory import AddressMap
+
+        amap = AddressMap(256 * KB)
+        call = getattr(amap, method)
+        for level in (0, -1, amap.num_levels + 1):
+            with pytest.raises(ValueError):
+                call(level, 0)
+        for level in range(1, amap.num_levels + 1):
+            for index in (-1, amap.level_sizes[level - 1]):
+                with pytest.raises(IndexError):
+                    call(level, index)
+
+    @pytest.mark.parametrize(
+        "minors", [[128] + [0] * 63, [0] * 63 + [-1], [0] * 63, [0] * 65]
+    )
+    def test_split_counter_rejects_bad_minors(self, minors):
+        from repro.counters import SplitCounterBlock
+
+        with pytest.raises(ValueError):
+            SplitCounterBlock(minors=minors)
+
+    def test_split_counter_rejects_bad_major(self):
+        from repro.counters import SplitCounterBlock
+
+        for major in (-1, 1 << 64):
+            with pytest.raises(ValueError):
+                SplitCounterBlock(major=major)

@@ -155,3 +155,78 @@ class TestPolicyModeMatrix:
             if recovered.read(block).data != data
         ]
         assert lost == []
+
+
+def full_scan_flush(ctrl, cost):
+    """Reference flush: the algorithm before the metadata cache kept a
+    dirty index.  Per level it rescans and sorts every resident line
+    and classifies each address; the controller now walks only the
+    level's dirty lines and must persist in exactly this order."""
+    mcache, amap = ctrl.metadata_cache, ctrl.amap
+    for level in range(1, amap.num_levels + 1):
+        for address, payload, dirty in mcache.resident():
+            if not dirty or not mcache.is_dirty(address):
+                continue
+            region = amap.region_of(address)
+            if region[0] == "counter" and level == 1:
+                index = region[1]
+            elif region[0] == "tree" and region[1] == level:
+                index = region[2]
+            else:
+                continue
+            ctrl.integrity.persist(ctrl, level, index, payload, cost)
+            if mcache.contains(address):
+                mcache.mark_clean(address)
+
+
+class TestFlushOrder:
+    """The dirty-index flush persists the same (level, index) sequence
+    as the full-scan reference, including when a ToC parent bump
+    miss-fetches into a full set and evicts lines mid-flush."""
+
+    @staticmethod
+    def run(scheme, reference: bool):
+        from repro.core import make_controller
+
+        # 16 four-way metadata slots over 256 counter blocks: parent
+        # bumps during the flush miss and evict lines still queued.
+        ctrl = make_controller(
+            scheme, MB, metadata_cache_bytes=KB, metadata_ways=4,
+            rng=np.random.default_rng(5),
+        )
+        flush = full_scan_flush.__get__(ctrl) if reference else ctrl._flush_metadata
+        flushing = []
+
+        def traced_flush(cost):
+            flushing.append(True)
+            try:
+                flush(cost)
+            finally:
+                flushing.pop()
+
+        ctrl._flush_metadata = traced_flush
+        log, mid_flush_evictions = [], []
+        persist = ctrl.integrity.persist
+
+        def spy(c, level, index, payload, cost):
+            address = c.amap.node_addr(level, index)
+            resident = c.metadata_cache.contains(address)
+            log.append((level, index))
+            persist(c, level, index, payload, cost)
+            if flushing and resident and not c.metadata_cache.contains(address):
+                mid_flush_evictions.append((level, index))
+
+        ctrl.integrity.persist = spy
+        storm(ctrl, ops=300, seed=5)
+        ctrl.flush()
+        image = {a: ctrl.nvm.peek_block(a) for a in ctrl.nvm.touched_addresses()}
+        return log, mid_flush_evictions, image
+
+    @pytest.mark.parametrize("scheme", ["phoenix", "baseline", "src", "sac"])
+    def test_same_persist_sequence_as_full_scan(self, scheme):
+        log, evictions, image = self.run(scheme, reference=False)
+        want_log, want_evictions, want_image = self.run(scheme, reference=True)
+        assert evictions, "no line was evicted by its own persist mid-flush"
+        assert log == want_log
+        assert evictions == want_evictions
+        assert image == want_image
